@@ -82,20 +82,17 @@ void Client::tx_main() {
   // consecutive same-server jobs -- up to batch_max_ops / batch_max_bytes --
   // into one kOpBatch frame. A job bound for a *different* server closes the
   // current run and carries over as the seed of the next one, preserving
-  // per-server FIFO order. With batch_max_ops <= 1 (the default) none of
-  // this runs: every job takes the single-frame path, byte for byte the
+  // per-server FIFO order. With batch_max_ops <= 1 (the default) every run
+  // holds one job and takes the single-frame path, byte for byte the
   // pre-batching wire behaviour.
   std::optional<TxJob> carry;
+  std::vector<TxJob> run;
   while (true) {
     std::optional<TxJob> job =
         carry.has_value() ? std::exchange(carry, std::nullopt)
                           : tx_queue_.pop();
     if (!job.has_value()) break;
-    if (config_.batch_max_ops <= 1) {
-      send_single(*job);
-      continue;
-    }
-    std::vector<TxJob> run;
+    run.clear();
     std::size_t run_bytes = wire_payload_bytes(*job);
     run.push_back(*std::move(job));
     while (run.size() < config_.batch_max_ops) {
@@ -114,10 +111,16 @@ void Client::tx_main() {
       run.push_back(*std::move(next));
     }
     if (run.size() == 1) {
-      send_single(run.front());  // runs of one are never wrapped
+      post_single(run.front());  // runs of one are never wrapped
     } else {
       send_batch(run);
     }
+    // NOTE: the responses may already be in flight (or even processed), so
+    // the requests may only be touched via the pending map.
+    for (const TxJob& sent : run) signal_sent(sent.wr_id);
+    // Only now may an inline post on the application thread go ahead: the
+    // run is on the wire, so the next frame cannot overtake it.
+    tx_backlog_.fetch_sub(run.size(), std::memory_order_release);
   }
 }
 
@@ -125,8 +128,9 @@ std::vector<char> Client::encode_job(const TxJob& job) const {
   std::vector<char> payload;
   switch (job.opcode) {
     case Opcode::kOpSet:
-      // The value span is read *here*, on the engine thread -- this is the
-      // zero-copy hazard window the iset documentation warns about.
+      // The value span is read *here*, on the engine thread for an iset --
+      // this is the zero-copy hazard window the iset documentation warns
+      // about.
       payload = server::encode_set(server::SetRequest{
           .key = job.key,
           .value = job.value,
@@ -190,7 +194,7 @@ void Client::register_job_memory(const TxJob& job) {
   }
 }
 
-void Client::send_single(const TxJob& job) {
+void Client::post_single(const TxJob& job) {
   register_job_memory(job);
   std::vector<char> payload = encode_job(job);
   if (job.deadline_ns != 0) {
@@ -203,10 +207,6 @@ void Client::send_single(const TxJob& job) {
              static_cast<unsigned long long>(endpoint_->id()),
              static_cast<unsigned long long>(job.wr_id), job.opcode,
              static_cast<unsigned long long>(job.server), payload.size());
-  // NOTE: the response may already be in flight (or even processed) by the
-  // time send() returns -- the request may only be touched via the pending
-  // map, never via job.req.
-  signal_sent(job.wr_id);
 }
 
 void Client::send_batch(const std::vector<TxJob>& run) {
@@ -253,7 +253,6 @@ void Client::send_batch(const std::vector<TxJob>& run) {
              static_cast<unsigned long long>(endpoint_->id()), run.size(),
              static_cast<unsigned long long>(run.front().server),
              frame.size());
-  for (const TxJob& job : run) signal_sent(job.wr_id);
 }
 
 void Client::rx_main() {
@@ -368,7 +367,7 @@ void Client::signal_sent(std::uint64_t wr_id) {
 }
 
 StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
-                         std::span<char> dest) {
+                         std::span<char> dest, Post post) {
   req.reset(dest);
   req.server_ = job.server;
   req.opcode_ = job.opcode;
@@ -418,9 +417,20 @@ StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
   }
   job.wr_id = wr_id;
   req.wr_id_ = wr_id;
-  job.req = &req;
+  if (post == Post::kInlineWhenIdle &&
+      tx_backlog_.load(std::memory_order_acquire) == 0) {
+    // The caller blocks on this op anyway and nothing is queued ahead of
+    // it: post on this thread instead of waking the TX engine and then
+    // being woken by it. The caller owns `req`, so marking it sent after
+    // the post is safe even if the response already completed it.
+    post_single(job);
+    req.sent_.store(true, std::memory_order_release);
+    return StatusCode::kOk;
+  }
   const net::EndpointId server = job.server;
+  tx_backlog_.fetch_add(1, std::memory_order_relaxed);
   if (!tx_queue_.push(std::move(job))) {
+    tx_backlog_.fetch_sub(1, std::memory_order_relaxed);
     {
       const MutexLock lock(pending_mu_);
       pending_.erase(wr_id);
@@ -431,10 +441,16 @@ StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
   return StatusCode::kOk;
 }
 
+void Client::count_nonblocking_issue() {
+  const MutexLock lock(metrics_mu_);
+  ++counters_.nonblocking_issued;
+}
+
 StatusCode Client::iset(std::string_view key, std::span<const char> value,
                         std::uint32_t flags, std::int64_t expiration,
                         Request& req) {
   if (key.empty()) return StatusCode::kInvalidArgument;
+  count_nonblocking_issue();
   TxJob job;
   job.opcode = Opcode::kOpSet;
   job.server = ring_.select(key);
@@ -442,17 +458,13 @@ StatusCode Client::iset(std::string_view key, std::span<const char> value,
   job.value = value;  // zero copy: user must not touch until completion
   job.flags = flags;
   job.expiration = expiration;
-  {
-    const MutexLock lock(metrics_mu_);
-    ++counters_.nonblocking_issued;
-  }
-  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/false, {});
+  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/false, {},
+               Post::kQueued);
 }
 
-StatusCode Client::bset(std::string_view key, std::span<const char> value,
-                        std::uint32_t flags, std::int64_t expiration,
-                        Request& req) {
-  if (key.empty()) return StatusCode::kInvalidArgument;
+StatusCode Client::start_set(std::string_view key, std::span<const char> value,
+                             std::uint32_t flags, std::int64_t expiration,
+                             Request& req) {
   TxJob job;
   job.opcode = Opcode::kOpSet;
   job.server = ring_.select(key);
@@ -472,13 +484,9 @@ StatusCode Client::bset(std::string_view key, std::span<const char> value,
     job.value = std::span<const char>(buffer, value.size());
   } else {
     // Oversized for the pool: fall back to a private copy (cold
-    // registration will be paid by the engine).
+    // registration will be paid by whichever thread posts it).
     job.owned_value.assign(value.begin(), value.end());
     job.value = job.owned_value;
-  }
-  {
-    const MutexLock lock(metrics_mu_);
-    ++counters_.nonblocking_issued;
   }
   const StatusCode code = issue(std::move(job), req, slot, /*is_get=*/false, {});
   if (!ok(code)) {
@@ -486,27 +494,42 @@ StatusCode Client::bset(std::string_view key, std::span<const char> value,
     return code;
   }
   // "Waits for the engine to communicate that it has sent out the data."
+  // Until then a queued job still reads the bounce slot, and a cancel()
+  // (deadline) would hand the slot to the next set while it does. An inline
+  // post is already sent, so this returns at once.
   park_until([&req] { return req.sent(); });
   return StatusCode::kOk;
 }
 
-StatusCode Client::iget(std::string_view key, std::span<char> dest, Request& req) {
+StatusCode Client::bset(std::string_view key, std::span<const char> value,
+                        std::uint32_t flags, std::int64_t expiration,
+                        Request& req) {
   if (key.empty()) return StatusCode::kInvalidArgument;
+  count_nonblocking_issue();
+  return start_set(key, value, flags, expiration, req);
+}
+
+StatusCode Client::start_get(std::string_view key, std::span<char> dest,
+                             Request& req, Post post) {
   TxJob job;
   job.opcode = Opcode::kOpGet;
   job.server = ring_.select(key);
   job.key = std::string(key);
   // Destination registration is modelled via the value span (engine-side).
   job.value = std::span<const char>(dest.data(), dest.size());
-  {
-    const MutexLock lock(metrics_mu_);
-    ++counters_.nonblocking_issued;
-  }
-  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/true, dest);
+  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/true, dest, post);
+}
+
+StatusCode Client::iget(std::string_view key, std::span<char> dest, Request& req) {
+  if (key.empty()) return StatusCode::kInvalidArgument;
+  count_nonblocking_issue();
+  return start_get(key, dest, req, Post::kQueued);
 }
 
 StatusCode Client::bget(std::string_view key, std::span<char> dest, Request& req) {
-  const StatusCode code = iget(key, dest, req);
+  if (key.empty()) return StatusCode::kInvalidArgument;
+  count_nonblocking_issue();
+  const StatusCode code = start_get(key, dest, req);
   if (!ok(code)) return code;
   // Key buffer reusable once the header has left the engine.
   park_until([&req] { return req.sent(); });
@@ -592,11 +615,12 @@ StatusCode Client::run_attempts(
 
 StatusCode Client::set(std::string_view key, std::span<const char> value,
                        std::uint32_t flags, std::int64_t expiration) {
+  if (key.empty()) return StatusCode::kInvalidArgument;
   Request req;
   // Set is idempotent (last-writer-wins): safe to re-issue after a timeout.
   const StatusCode code = run_attempts(
       req,
-      [&](Request& r) { return bset(key, value, flags, expiration, r); },
+      [&](Request& r) { return start_set(key, value, flags, expiration, r); },
       /*idempotent=*/true);
   {
     const MutexLock lock(metrics_mu_);
@@ -607,9 +631,10 @@ StatusCode Client::set(std::string_view key, std::span<const char> value,
 
 StatusCode Client::get(std::string_view key, std::vector<char>& out,
                        std::uint32_t* flags) {
+  if (key.empty()) return StatusCode::kInvalidArgument;
   Request req;
   StatusCode code = run_attempts(
-      req, [&](Request& r) { return bget(key, scratch_, r); },
+      req, [&](Request& r) { return start_get(key, scratch_, r); },
       /*idempotent=*/true);
   {
     const MutexLock lock(metrics_mu_);
@@ -910,7 +935,8 @@ std::vector<Result<std::vector<char>>> Client::mget_status(
     dests[i].resize(config_.bounce_slot_bytes);
   }
   for (const std::size_t i : order) {
-    const StatusCode issued = iget(keys[i], dests[i], *requests[i]);
+    const StatusCode issued =
+        start_get(keys[i], dests[i], *requests[i], Post::kQueued);
     if (!ok(issued)) {
       results[i] = Result<std::vector<char>>(issued);
       requests[i].reset();

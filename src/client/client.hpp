@@ -22,8 +22,20 @@
 // instance; the client runs two internal threads (TX engine and RX progress).
 // Create one Client per application thread for concurrent use (matches
 // libmemcached's non-thread-safe memcached_st).
+//
+// Who posts a request frame:
+//  - iset/iget (and mget) always queue the job for the TX engine: the call
+//    stays issue-only, a cold registration of the user's buffer is paid off
+//    the caller, and doorbell batching can coalesce a burst of them.
+//  - Every op whose caller blocks anyway -- bset/bget and the blocking API
+//    (set, get, del, add, ..., stats) -- is posted on the caller's own thread
+//    when the TX engine is idle (no job queued, none being sent). The caller
+//    then skips two thread hand-offs per op: app -> TX to post, TX -> app to
+//    report "sent". When the engine is busy the job queues behind the
+//    backlog instead, so per-client FIFO order always holds.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -120,6 +132,9 @@ struct ClientCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t backend_fetches = 0;
+  /// Non-blocking API calls the application made itself: iset, iget, bset
+  /// and bget with a non-empty key. The blocking ops and mget that are
+  /// built on the same machinery are not counted.
   std::uint64_t nonblocking_issued = 0;
   std::uint64_t timeouts = 0;       ///< Requests cancelled on deadline.
   std::uint64_t retries = 0;        ///< Re-issued idempotent attempts.
@@ -303,7 +318,6 @@ class Client {
     std::int64_t expiration = 0;
     std::uint64_t cas_token = 0;
     std::int64_t deadline_ns = 0;  ///< Propagated deadline (0 = none).
-    Request* req = nullptr;
   };
 
   struct Pending {
@@ -322,12 +336,19 @@ class Client {
   /// Registers the job's source/destination memory with the engine
   /// (registration-cache hits make repeats nearly free).
   void register_job_memory(const TxJob& job);
-  /// Sends one job as a plain single-op frame (the pre-batching wire
-  /// behaviour, byte for byte) and signals its local send completion.
-  void send_single(const TxJob& job);
+  /// How issue() hands a registered job to the wire.
+  enum class Post {
+    kQueued,          ///< Through the TX engine (iset/iget).
+    kInlineWhenIdle,  ///< On the caller's thread while the engine is idle.
+  };
+
+  /// Posts one job as a plain single-op frame (the pre-batching wire
+  /// behaviour, byte for byte): registration, encode, deadline envelope,
+  /// send. Called by the TX engine and, for inline posts, by the caller.
+  void post_single(const TxJob& job);
   /// Sends a coalesced run (>= 2 consecutive same-server jobs) as one
   /// kOpBatch frame carrying per-op wr_ids and the minimum propagated
-  /// deadline, then signals each op's local send completion.
+  /// deadline.
   void send_batch(const std::vector<TxJob>& run);
   /// Completes the pending op `wr_id` from its raw RESP-encoded bytes
   /// (undecodable bytes complete as kServerError): pending-map erase, GET
@@ -341,18 +362,32 @@ class Client {
   /// Marks the request with this wr_id injected (local send completion) and
   /// wakes waiters. Touches the Request only while it is still registered in
   /// the pending map -- once a request completes (and may be destroyed by
-  /// its owner) it is no longer reachable from here.
+  /// its owner) it is no longer reachable from here. Queued jobs only: an
+  /// inline post marks its own request, which its caller owns.
   void signal_sent(std::uint64_t wr_id);
   /// Parks until the predicate holds (predicate may read request atomics,
   /// never state guarded by completion_mu_ -- the lock only serialises the
   /// sleep/notify handshake).
   template <typename Pred>
   void park_until(Pred&& pred) EXCLUDES(completion_mu_) {
+    if (pred()) return;  // already true (an inline post is already sent)
     const MutexLock lock(completion_mu_);
     completion_cv_.wait(completion_mu_, std::forward<Pred>(pred));
   }
   StatusCode issue(TxJob job, Request& req, int slot, bool is_get,
-                   std::span<char> dest);
+                   std::span<char> dest, Post post = Post::kInlineWhenIdle);
+  /// Shared body of bset and set: stages the value in a bounce slot (a
+  /// private copy when oversized), issues the Set and waits until it is
+  /// sent, so the slot is never recycled while a queued job still reads it.
+  /// Key must be non-empty.
+  StatusCode start_set(std::string_view key, std::span<const char> value,
+                       std::uint32_t flags, std::int64_t expiration,
+                       Request& req);
+  /// Shared body of iget, bget, get and mget. Key must be non-empty.
+  StatusCode start_get(std::string_view key, std::span<char> dest,
+                       Request& req, Post post = Post::kInlineWhenIdle);
+  /// Counts one application iset/iget/bset/bget call.
+  void count_nonblocking_issue();
   /// Shared body of add/replace/append/prepend (non-idempotent stores).
   StatusCode store_op(std::uint16_t opcode, std::string_view key,
                       std::span<const char> value, std::uint32_t flags,
@@ -392,6 +427,14 @@ class Client {
   BlockingQueue<int> free_slots_;
 
   BlockingQueue<TxJob> tx_queue_;
+  /// Jobs pushed to tx_queue_ and not yet posted, counting any the engine
+  /// is sending right now (or holds as a batching carry). The application
+  /// thread increments it before each push; tx_main decrements it with
+  /// release order once the job is on the wire. With one application thread,
+  /// an acquire load of 0 proves no queued job can be overtaken by an inline
+  /// post, and that the engine is done touching the endpoint.
+  std::atomic<std::size_t> tx_backlog_ ATOMIC_PUBLISHED(
+      app increments before push; tx_main release-decrements after post){0};
   std::thread tx_thread_;
   std::thread rx_thread_;
 

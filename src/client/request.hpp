@@ -51,8 +51,9 @@ class Request {
   [[nodiscard]] std::size_t value_length() const noexcept { return value_len_; }
   [[nodiscard]] std::uint32_t flags() const noexcept { return flags_; }
 
-  /// True once the engine has injected the request (local send completion)
-  /// -- the bget/bset "data sent out" point.
+  /// True once the request has been injected (local send completion), by
+  /// the TX engine or by the caller's own inline post -- the bget/bset
+  /// "data sent out" point.
   [[nodiscard]] bool sent() const noexcept {
     return sent_.load(std::memory_order_acquire) || done();
   }

@@ -249,6 +249,34 @@ TEST_F(BatchTest, MgetCoalescesIntoBatchFramesEndToEnd) {
   EXPECT_EQ(sc.batched_ops, cc.batched_ops);
 }
 
+// A blocking op finds the TX engine idle, so the caller posts it on its own
+// thread: with batching on it still leaves as a plain frame, never wrapped.
+
+TEST_F(BatchTest, BlockingOpsOnIdleEngineGoOutAsPlainFrames) {
+  TestBedConfig cfg = small_bed(Design::kRdmaMem);
+  cfg.client_batch_max_ops = 8;
+  TestBed bed(cfg);
+  auto client = bed.make_client("c0");
+
+  constexpr std::uint64_t kCount = 32;
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(client->set(make_key(i), make_value(i, 256)), StatusCode::kOk);
+    std::vector<char> out;
+    ASSERT_EQ(client->get(make_key(i), out), StatusCode::kOk);
+    EXPECT_EQ(out, make_value(i, 256));
+  }
+
+  const auto cc = client->counters();
+  EXPECT_EQ(cc.batches_sent, 0u);
+  EXPECT_EQ(cc.batched_ops, 0u);
+  const auto sc = bed.server(0).counters();
+  EXPECT_EQ(sc.batches, 0u);
+  EXPECT_EQ(sc.batched_ops, 0u);
+  EXPECT_EQ(sc.sets, kCount);
+  EXPECT_EQ(sc.gets, kCount);
+  EXPECT_EQ(sc.requests, sc.ops_sum());
+}
+
 // ---------------------------------------------------------------------------
 // mget_status: miss vs failure vs value, and the mget compatibility shape.
 

@@ -124,6 +124,48 @@ TEST_F(ClientOpsTest, StatsTextReportsCounters) {
   EXPECT_EQ(client->stats_text(99).status(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(ClientOpsTest, NonblockingIssuedCountsOnlyTheApplicationsOwnCalls) {
+  TestBed bed(small_bed(Design::kRdmaMem));
+  auto client = bed.make_client("c");
+  constexpr std::uint64_t kOps = 20;
+
+  // Blocking ops (and mget) share the non-blocking machinery but are not
+  // the application's own iset/iget/bset/bget calls.
+  std::vector<std::string> keys;
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    keys.push_back(make_key(i));
+    ASSERT_EQ(client->set(keys.back(), make_value(i, 64)), StatusCode::kOk);
+    std::vector<char> out;
+    ASSERT_EQ(client->get(keys.back(), out), StatusCode::kOk);
+  }
+  ASSERT_EQ(client->del(keys.front()), StatusCode::kOk);
+  (void)client->mget(keys);
+  EXPECT_EQ(client->counters().nonblocking_issued, 0u);
+  EXPECT_EQ(client->counters().sets, kOps);
+  EXPECT_EQ(client->counters().gets, kOps);
+
+  const auto value = make_value(7, 64);
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    client::Request req;
+    ASSERT_EQ(client->iset(keys[i], value, 0, 0, req), StatusCode::kOk);
+    client->wait(req);
+    ASSERT_EQ(req.status(), StatusCode::kOk);
+  }
+  EXPECT_EQ(client->counters().nonblocking_issued, kOps);
+
+  // bset/bget/iget count too; a rejected empty key does not.
+  std::vector<char> dest(64);
+  client::Request req;
+  ASSERT_EQ(client->bset(keys[0], value, 0, 0, req), StatusCode::kOk);
+  client->wait(req);
+  ASSERT_EQ(client->bget(keys[0], dest, req), StatusCode::kOk);
+  client->wait(req);
+  ASSERT_EQ(client->iget(keys[0], dest, req), StatusCode::kOk);
+  client->wait(req);
+  EXPECT_EQ(client->iset("", value, 0, 0, req), StatusCode::kInvalidArgument);
+  EXPECT_EQ(client->counters().nonblocking_issued, kOps + 3);
+}
+
 TEST_F(ClientOpsTest, WaitForCompletesNormallyWithinDeadline) {
   TestBed bed(small_bed(Design::kHRdmaOptNonbI));
   auto client = bed.make_client("c");
