@@ -12,17 +12,20 @@
 //  1. micro: the cost of each instrumentation primitive in a tight loop --
 //     record_op/record_span (histogram bucket + count/sum/min/max relaxed
 //     RMWs) and the steady-clock read.
-//  2. per-request site count: a recorded GET on the in-memory design touches
-//     the recorder 5x (server: end-to-end op, fabric-transfer, store-phase,
-//     response spans; client: issue->complete op) and adds 2 extra clock
-//     reads (server store_start, client issued_at). Tracing adds one relaxed
-//     fetch_add per request plus a mutexed ring write on sampled requests.
+//  2. per-request site count: a recorded blocking GET on the in-memory
+//     design touches the recorder 7x (server: end-to-end op, fabric-transfer,
+//     store-phase, optimistic-read, response spans; client: issue->complete
+//     op, client-wait span) and adds 9 clock reads that only recording pays
+//     (server: store start, response start/end; store: read start/end;
+//     client: issue stamp, completion stamp, wait start/end). Tracing adds
+//     one relaxed fetch_add per request plus a mutexed ring write on sampled
+//     requests.
 //  3. baseline: measured closed-loop CPU per op (CLOCK_PROCESS_CPUTIME_ID)
 //     with recording off, under time scale 0 so modelled device/fabric
 //     sleeps vanish -- the least-favourable (all-CPU) denominator; any
 //     modelled time would only dilute the ratio.
 //
-// headline overhead = (5*record + 2*clock_read) / baseline_cpu_per_op.
+// headline overhead = (7*record + 9*clock_read) / baseline_cpu_per_op.
 // The raw end-to-end on/off CPU deltas are printed as a cross-check; they
 // bracket the headline within their noise.
 //
@@ -47,8 +50,8 @@ constexpr std::size_t kKeys = 512;
 constexpr std::size_t kValueBytes = 256;
 
 // Instrumentation sites on a recorded request (see the header comment).
-constexpr double kRecordsPerRequest = 5.0;
-constexpr double kClockReadsPerRequest = 2.0;
+constexpr double kRecordsPerRequest = 7.0;
+constexpr double kClockReadsPerRequest = 9.0;
 
 struct Mode {
   const char* name;

@@ -8,12 +8,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "common/logging.hpp"
+#include "common/metrics.hpp"
 #include "common/sim_time.hpp"
 #include "core/design.hpp"
 #include "store/slab.hpp"
@@ -66,8 +68,13 @@ struct Scenario {
 
 struct Outcome {
   workload::WorkloadResult result;
-  StageBreakdown server;        ///< Per-op server stages (merged).
-  StageBreakdown client;        ///< Client stages (wait / miss penalty).
+  /// Span sums behind the paper's six stages (DESIGN.md §10): server spans
+  /// summed over all servers, per request they handled; client spans of the
+  /// single measured client (zero with several), per wait.
+  std::array<std::uint64_t, metrics::kSpanCount> server_span_ns{};
+  std::uint64_t server_ops = 0;
+  std::array<std::uint64_t, metrics::kSpanCount> client_span_ns{};
+  std::uint64_t client_waits = 0;
   store::ManagerStats store;
   std::uint64_t backend_fetches = 0;
 
@@ -84,11 +91,15 @@ struct Outcome {
   [[nodiscard]] double kops() const {
     return result.throughput_kops() * kTimeDilation;
   }
-  [[nodiscard]] double server_us(Stage stage) const {
-    return server.per_op_us(stage) / kTimeDilation;
+  [[nodiscard]] double server_us(metrics::Span span) const {
+    return metrics::per_op_us(server_span_ns[static_cast<std::size_t>(span)],
+                              server_ops) /
+           kTimeDilation;
   }
-  [[nodiscard]] double client_us(Stage stage) const {
-    return client.per_op_us(stage) / kTimeDilation;
+  [[nodiscard]] double client_us(metrics::Span span) const {
+    return metrics::per_op_us(client_span_ns[static_cast<std::size_t>(span)],
+                              client_waits) /
+           kTimeDilation;
   }
   [[nodiscard]] double overlap_pct() const {
     return 100.0 * result.overlap_fraction();
@@ -143,11 +154,20 @@ inline Outcome run_scenario(const Scenario& s) {
   if (s.clients <= 1) {
     auto client = bed.make_client("bench");
     outcome.result = workload::run(*client, wl);
-    outcome.client = client->breakdown();
+    for (std::size_t i = 0; i < metrics::kSpanCount; ++i) {
+      outcome.client_span_ns[i] =
+          client->span_latency(static_cast<metrics::Span>(i)).sum_ns();
+    }
+    outcome.client_waits =
+        client->span_latency(metrics::Span::kClientWait).count();
   } else {
     outcome.result = workload::run_multi(bed, s.clients, wl);
   }
-  outcome.server = bed.server_breakdown();
+  for (std::size_t i = 0; i < metrics::kSpanCount; ++i) {
+    outcome.server_span_ns[i] =
+        bed.server_span(static_cast<metrics::Span>(i)).sum_ns();
+  }
+  outcome.server_ops = bed.server_ops_handled();
   outcome.store = bed.store_stats();
   outcome.backend_fetches = bed.backend().fetches();
   return outcome;
@@ -179,12 +199,12 @@ inline void print_banner(const char* title) {
 /// stages (network + queueing), per op, matching how Fig. 2 stacks stages.
 /// Dilation-normalised.
 inline double client_wait_net_us(const Outcome& outcome) {
-  const double wait = outcome.client_us(Stage::kClientWait);
+  const double wait = outcome.client_us(metrics::Span::kClientWait);
   double server_stage_sum = 0;
-  for (const Stage stage :
-       {Stage::kSlabAllocation, Stage::kCacheCheckLoad, Stage::kCacheUpdate,
-        Stage::kServerResponse}) {
-    server_stage_sum += outcome.server_us(stage);
+  for (const metrics::Span span :
+       {metrics::Span::kSlabAllocation, metrics::Span::kCacheCheckLoad,
+        metrics::Span::kCacheUpdate, metrics::Span::kResponse}) {
+    server_stage_sum += outcome.server_us(span);
   }
   return wait > server_stage_sum ? wait - server_stage_sum : 0.0;
 }

@@ -18,12 +18,12 @@ namespace {
 
 void print_breakdown_row(const char* design, const Outcome& outcome) {
   std::printf("  %-12s %10.1f %12.1f %10.1f %10.1f %10.1f %12.1f\n", design,
-              outcome.server_us(Stage::kSlabAllocation),
-              outcome.server_us(Stage::kCacheCheckLoad),
-              outcome.server_us(Stage::kCacheUpdate),
-              outcome.server_us(Stage::kServerResponse),
+              outcome.server_us(metrics::Span::kSlabAllocation),
+              outcome.server_us(metrics::Span::kCacheCheckLoad),
+              outcome.server_us(metrics::Span::kCacheUpdate),
+              outcome.server_us(metrics::Span::kResponse),
               client_wait_net_us(outcome),
-              outcome.client_us(Stage::kMissPenalty));
+              outcome.client_us(metrics::Span::kMissPenalty));
 }
 
 }  // namespace

@@ -34,12 +34,12 @@ int main() {
       const double avg = outcome.avg_us();
       std::printf("  %-18s %10.1f | %9.1f %9.1f %8.1f %8.1f %9.1f %9.1f\n",
                   std::string(to_string(design)).c_str(), avg,
-                  outcome.server_us(Stage::kSlabAllocation),
-                  outcome.server_us(Stage::kCacheCheckLoad),
-                  outcome.server_us(Stage::kCacheUpdate),
-                  outcome.server_us(Stage::kServerResponse),
+                  outcome.server_us(metrics::Span::kSlabAllocation),
+                  outcome.server_us(metrics::Span::kCacheCheckLoad),
+                  outcome.server_us(metrics::Span::kCacheUpdate),
+                  outcome.server_us(metrics::Span::kResponse),
                   client_wait_net_us(outcome),
-                  outcome.client_us(Stage::kMissPenalty));
+                  outcome.client_us(metrics::Span::kMissPenalty));
       switch (design) {
         case core::Design::kIpoibMem: ipoib_avg = avg; break;
         case core::Design::kHRdmaDef: def_avg = avg; break;

@@ -153,13 +153,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.errors),
               static_cast<unsigned long long>(result.verify_failures));
 
-  const auto stages = bed.server_breakdown();
+  // Server stages per op: span sums over the requests the servers handled.
+  const std::uint64_t handled = bed.server_ops_handled();
+  const auto stage_us = [&](metrics::Span span) {
+    return metrics::per_op_us(bed.server_span(span).sum_ns(), handled);
+  };
   std::printf("\nserver stages [us/op]: slab=%.1f check+load=%.1f update=%.1f "
               "resp=%.1f\n",
-              stages.per_op_us(Stage::kSlabAllocation),
-              stages.per_op_us(Stage::kCacheCheckLoad),
-              stages.per_op_us(Stage::kCacheUpdate),
-              stages.per_op_us(Stage::kServerResponse));
+              stage_us(metrics::Span::kSlabAllocation),
+              stage_us(metrics::Span::kCacheCheckLoad),
+              stage_us(metrics::Span::kCacheUpdate),
+              stage_us(metrics::Span::kResponse));
   const auto store = bed.store_stats();
   std::printf("store: ram_hits=%llu ssd_hits=%llu flushes=%llu promoted=%llu "
               "dropped=%llu\n",

@@ -38,13 +38,16 @@ void serve_queries(hykv::core::Design design, const char* label) {
   }
 
   const auto result = workload::run(*client, wl);
-  const auto breakdown = client->breakdown();
+  // Miss penalty per op: backend-fetch time over the client's waits.
+  const double miss_penalty_us = metrics::per_op_us(
+      client->span_latency(metrics::Span::kMissPenalty).sum_ns(),
+      client->span_latency(metrics::Span::kClientWait).count());
   std::printf(
       "  %-18s avg %8.1f us/op   throughput %7.2f kops/s   backend trips %5llu"
       "   miss-penalty %6.1f us/op\n",
       label, result.avg_latency_us(), result.throughput_kops(),
       static_cast<unsigned long long>(bed.backend().fetches()),
-      breakdown.per_op_us(Stage::kMissPenalty));
+      miss_penalty_us);
   if (result.verify_failures != 0) {
     std::printf("  !! %llu corrupted results\n",
                 static_cast<unsigned long long>(result.verify_failures));

@@ -543,11 +543,9 @@ void Client::wait(Request& req) {
     (void)wait_for(req, config_.op_deadline);
     return;
   }
-  const auto start = std::chrono::steady_clock::now();
+  const sim::TimePoint start = metrics::span_start(latency_.get());
   park_until([&req] { return req.done(); });
-  const MutexLock lock(metrics_mu_);
-  stages_.add(Stage::kClientWait, std::chrono::steady_clock::now() - start);
-  stages_.add_ops();
+  metrics::record_since(latency_.get(), metrics::Span::kClientWait, start);
 }
 
 StatusCode Client::run_attempts(
@@ -649,12 +647,12 @@ StatusCode Client::get(std::string_view key, std::vector<char>& out,
   if (code == StatusCode::kNotFound && config_.use_backend_on_miss) {
     // Cache-aside miss path: hit the backend database (the paper's
     // "Miss Penalty" stage), then re-populate the cache.
-    const auto miss_start = std::chrono::steady_clock::now();
+    const sim::TimePoint miss_start = metrics::span_start(latency_.get());
     auto value = backend_->fetch(key);
+    metrics::record_since(latency_.get(), metrics::Span::kMissPenalty,
+                          miss_start);
     {
       const MutexLock lock(metrics_mu_);
-      stages_.add(Stage::kMissPenalty,
-                  std::chrono::steady_clock::now() - miss_start);
       ++counters_.backend_fetches;
     }
     if (!value.has_value()) return StatusCode::kNotFound;
@@ -818,9 +816,18 @@ StatusCode Client::flush_all() {
   return worst;
 }
 
-Result<std::string> Client::stats_request(std::size_t server_index,
-                                          std::string_view what) {
+Result<std::string> Client::stats_text(std::size_t server_index,
+                                       StatsKind kind) {
   if (server_index >= ring_.servers().size()) return StatusCode::kInvalidArgument;
+  // The typed kind maps onto the wire-level subcommand strings the server
+  // has always understood.
+  std::string_view what;
+  switch (kind) {
+    case StatsKind::kCounters: break;
+    case StatsKind::kLatency: what = "latency"; break;
+    case StatsKind::kTrace: what = "trace"; break;
+    default: return StatusCode::kInvalidArgument;
+  }
   const net::EndpointId server = ring_.servers()[server_index];
   Request req;
   const StatusCode code = run_attempts(
@@ -835,26 +842,6 @@ Result<std::string> Client::stats_request(std::size_t server_index,
       /*idempotent=*/true);
   if (!ok(code)) return code;
   return std::string(scratch_.data(), req.value_length());
-}
-
-Result<std::string> Client::stats_text(std::size_t server_index,
-                                       StatsKind kind) {
-  // The typed enum is the supported surface; it maps onto the wire-level
-  // subcommand strings the server has always understood.
-  switch (kind) {
-    case StatsKind::kCounters:
-      return stats_request(server_index, "");
-    case StatsKind::kLatency:
-      return stats_request(server_index, "latency");
-    case StatsKind::kTrace:
-      return stats_request(server_index, "trace");
-  }
-  return StatusCode::kInvalidArgument;
-}
-
-Result<std::string> Client::stats_text(std::size_t server_index,
-                                       std::string_view what) {
-  return stats_request(server_index, what);
 }
 
 StatusCode Client::gets(std::string_view key, std::vector<char>& out,
@@ -1009,18 +996,9 @@ StatusCode Client::wait_for(Request& req, sim::Nanos timeout) {
     completion_cv_.wait_until(completion_mu_, deadline,
                               [&req] { return req.done(); });
   }
-  {
-    const MutexLock lock(metrics_mu_);
-    stages_.add(Stage::kClientWait, std::chrono::steady_clock::now() - start);
-    stages_.add_ops();
-  }
+  metrics::record_since(latency_.get(), metrics::Span::kClientWait, start);
   if (req.done()) return req.status();
   return cancel(req);
-}
-
-StageBreakdown Client::breakdown() const {
-  const MutexLock lock(metrics_mu_);
-  return stages_;
 }
 
 ClientCounters Client::counters() const {
@@ -1064,10 +1042,14 @@ LatencyHistogram Client::op_latency(metrics::Op op) const {
   return latency_ != nullptr ? latency_->op_histogram(op) : LatencyHistogram{};
 }
 
+LatencyHistogram Client::span_latency(metrics::Span span) const {
+  return latency_ != nullptr ? latency_->span_histogram(span)
+                             : LatencyHistogram{};
+}
+
 void Client::reset_metrics() {
   {
     const MutexLock lock(metrics_mu_);
-    stages_.reset();
     counters_ = ClientCounters{};
     retry_tokens_ = config_.retry_budget;
   }

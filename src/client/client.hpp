@@ -52,7 +52,6 @@
 #include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/queue.hpp"
-#include "common/stage.hpp"
 #include "common/sim_time.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/fabric.hpp"
@@ -121,7 +120,9 @@ struct ClientConfig {
   /// Per-op-class issue->complete latency histograms (op_latency()): the
   /// client-side view of the same request the server histograms time, so the
   /// paper's issue/completion-overlap benefit is measurable from both ends.
-  /// Recording is a few relaxed atomic adds per completion.
+  /// Also the client spans (span_latency()): time blocked in wait()/
+  /// wait_for() and backend fetches after a miss -- the paper's ClientWait
+  /// and MissPenalty stages. Recording is a few relaxed atomic adds.
   bool record_latency = true;
 };
 
@@ -180,7 +181,7 @@ class Client {
                  std::uint32_t flags = 0, std::int64_t expiration = 0);
 
   /// On success `out` holds the value. On a miss with a backend configured,
-  /// fetches from the backend (kMissPenalty stage), re-populates the cache,
+  /// fetches from the backend (miss_penalty span), re-populates the cache,
   /// and returns kOk; otherwise returns kNotFound.
   StatusCode get(std::string_view key, std::vector<char>& out,
                  std::uint32_t* flags = nullptr);
@@ -206,17 +207,9 @@ class Client {
   /// memcached flush_all across every server in the ring.
   StatusCode flush_all();
 
-  /// memcached "stats" from one server, as "name value" lines. The typed
-  /// StatsKind selects the subcommand; this is the preferred overload.
+  /// memcached "stats" from one server, as "name value" lines. StatsKind
+  /// selects the subcommand.
   Result<std::string> stats_text(std::size_t server_index, StatsKind kind);
-
-  /// DEPRECATED stringly-typed variant, kept as a thin shim so compat.cpp
-  /// and existing callers still build (no [[deprecated]] attribute: the tree
-  /// builds with -Werror). `what` rides verbatim on the wire: "" = legacy
-  /// counter text, "latency", "trace"; anything else answers
-  /// kInvalidArgument server-side. New code should pass a StatsKind.
-  Result<std::string> stats_text(std::size_t server_index = 0,
-                                 std::string_view what = {});
 
   /// memcached "gets": fetch value + CAS version token.
   StatusCode gets(std::string_view key, std::vector<char>& out,
@@ -265,8 +258,8 @@ class Client {
   /// buffer is reusable on return.
   StatusCode bget(std::string_view key, std::span<char> dest, Request& req);
 
-  /// Blocks until `req` completes (memcached_wait). Time spent is attributed
-  /// to the kClientWait stage.
+  /// Blocks until `req` completes (memcached_wait). Time spent is recorded
+  /// as the client_wait span.
   void wait(Request& req);
 
   /// Like wait() but gives up after `timeout` (real time): the request is
@@ -284,12 +277,15 @@ class Client {
 
   // ---- Introspection ----
 
-  [[nodiscard]] StageBreakdown breakdown() const;
   [[nodiscard]] ClientCounters counters() const;
   /// Merged issue->complete latency histogram for one op class. Covers every
   /// completion path (response, timeout/cancel, shutdown) of blocking and
   /// non-blocking ops alike; empty when record_latency is off.
   [[nodiscard]] LatencyHistogram op_latency(metrics::Op op) const;
+  /// Merged histogram of one client span (kClientWait: one sample per
+  /// wait()/wait_for(); kMissPenalty: one per backend fetch); other spans
+  /// stay empty here. Empty when record_latency is off.
+  [[nodiscard]] LatencyHistogram span_latency(metrics::Span span) const;
   void reset_metrics();
   [[nodiscard]] const ServerRing& ring() const noexcept { return ring_; }
   [[nodiscard]] net::EndpointId endpoint_id() const { return endpoint_->id(); }
@@ -410,10 +406,6 @@ class Client {
   /// Drops the per-server in-flight count for an unregistered request.
   /// Call after erasing its pending-map entry (no-op when the window is off).
   void release_pending_window(net::EndpointId server);
-  /// Raw stats round trip with the subcommand bytes sent verbatim; the
-  /// typed and deprecated stats_text overloads are both shims over this.
-  Result<std::string> stats_request(std::size_t server_index,
-                                    std::string_view what);
   std::uint64_t next_wr_id() REQUIRES(pending_mu_) { return wr_id_seq_++; }
 
   net::Fabric& fabric_;
@@ -454,11 +446,11 @@ class Client {
   bool closed_ GUARDED_BY(pending_mu_) = false;
 
   mutable Mutex metrics_mu_;
-  StageBreakdown stages_ GUARDED_BY(metrics_mu_);
   ClientCounters counters_ GUARDED_BY(metrics_mu_);
-  /// Issue->complete histograms (null when record_latency is off). Written
-  /// by whichever thread completes a request (rx, cancel, shutdown) --
-  /// recorder slots are atomic, so no lock is involved.
+  /// Issue->complete histograms and client spans (null when record_latency
+  /// is off). Written by whichever thread completes a request (rx, cancel,
+  /// shutdown) or waits on one -- recorder slots are atomic, so no lock is
+  /// involved.
   std::unique_ptr<metrics::LatencyRecorder> latency_;
   /// Retry-token bucket; starts full at config_.retry_budget and is
   /// refunded by successful round trips.

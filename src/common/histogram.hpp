@@ -45,6 +45,7 @@ class LatencyHistogram {
   void reset() noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+  [[nodiscard]] std::uint64_t sum_ns() const noexcept { return sum_; }
   [[nodiscard]] std::uint64_t min_ns() const noexcept { return count_ ? min_ : 0; }
   [[nodiscard]] std::uint64_t max_ns() const noexcept { return max_; }
   [[nodiscard]] double mean_ns() const noexcept {

@@ -59,6 +59,11 @@ constexpr std::size_t kOpCount = 6;
 /// that stage (e.g. kAdmissionWait exists only on async servers,
 /// kOptimisticRead and kLockedRead partition GETs by which read path served
 /// them), so span counts do NOT sum to the op counts.
+///
+/// kSlabAllocation..kMissPenalty plus kResponse are the paper's six
+/// Section III-A stages (Fig. 2/6); DESIGN.md §10 maps each to its span and
+/// per-op denominator. kClientWait and kMissPenalty are recorded by clients
+/// only. New spans are appended: the `stats latency` row order is frozen.
 enum class Span : std::uint8_t {
   kFabricTransfer = 0,  ///< send posted -> delivered (wire + propagation)
   kAdmissionWait,       ///< async only: buffered-queue enqueue -> dequeue
@@ -67,8 +72,13 @@ enum class Span : std::uint8_t {
   kLockedRead,          ///< GET that took the shard lock (incl. fallbacks)
   kSsdFlush,            ///< one flush_batch attempt (staging + SSD write)
   kResponse,            ///< response encode + send doorbell
+  kSlabAllocation,      ///< chunk allocation incl. any flush/eviction it runs
+  kCacheCheckLoad,      ///< locked lookup + (hybrid) SSD read of the item
+  kCacheUpdate,         ///< item write, index and LRU update / promotion
+  kClientWait,          ///< client: blocked in wait()/wait_for()
+  kMissPenalty,         ///< client: backend fetch after a cache miss
 };
-constexpr std::size_t kSpanCount = 7;
+constexpr std::size_t kSpanCount = 12;
 
 [[nodiscard]] constexpr std::string_view to_string(Span span) noexcept {
   switch (span) {
@@ -79,6 +89,11 @@ constexpr std::size_t kSpanCount = 7;
     case Span::kLockedRead: return "locked_read";
     case Span::kSsdFlush: return "ssd_flush";
     case Span::kResponse: return "response";
+    case Span::kSlabAllocation: return "slab_allocation";
+    case Span::kCacheCheckLoad: return "cache_check_load";
+    case Span::kCacheUpdate: return "cache_update";
+    case Span::kClientWait: return "client_wait";
+    case Span::kMissPenalty: return "miss_penalty";
   }
   return "other";
 }
@@ -93,6 +108,14 @@ constexpr std::size_t kSpanCount = 7;
   const auto d =
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count();
   return d < 0 ? 0 : static_cast<std::uint64_t>(d);
+}
+
+/// Mean microseconds per op of a span: its summed time over `ops` (0 when
+/// there were none). The paper's per-op stage times are derived this way.
+[[nodiscard]] inline double per_op_us(std::uint64_t sum_ns,
+                                      std::uint64_t ops) noexcept {
+  return ops == 0 ? 0.0
+                  : static_cast<double>(sum_ns) / static_cast<double>(ops) / 1e3;
 }
 
 /// LatencyHistogram's bucket layout with every cell atomic. Safe for any
@@ -119,7 +142,7 @@ class AtomicHistogram {
 
 /// Fixed-memory latency recorder: `slots` cache-line-aligned groups of
 /// (kOpCount op + kSpanCount span) atomic histograms. Memory is allocated
-/// once in the constructor and never grows (~210 KiB per slot); see
+/// once in the constructor and never grows (~290 KiB per slot); see
 /// DESIGN.md §10 for the sizing math.
 class LatencyRecorder {
  public:
@@ -148,6 +171,20 @@ class LatencyRecorder {
 
   std::vector<Slot> slots_;
 };
+
+/// Span timing against an optional recorder (nullptr = recording off, and
+/// then not even a clock read): span_start() stamps the start and
+/// record_since() records `span` as start -> now.
+[[nodiscard]] inline sim::TimePoint span_start(
+    const LatencyRecorder* recorder) noexcept {
+  return recorder != nullptr ? sim::now() : sim::TimePoint{};
+}
+inline void record_since(LatencyRecorder* recorder, Span span,
+                         sim::TimePoint start) noexcept {
+  if (recorder != nullptr) {
+    recorder->record_span(span, delta_ns(start, sim::now()));
+  }
+}
 
 /// One traced request: where its time went, stage by stage. Offsets are
 /// relative to `start_ns` (the earliest timestamp known for the request --

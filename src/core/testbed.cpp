@@ -101,10 +101,26 @@ std::unique_ptr<client::Client> TestBed::make_client(std::string name) {
   return std::make_unique<client::Client>(*fabric_, std::move(cfg), &backend_);
 }
 
-StageBreakdown TestBed::server_breakdown() const {
-  StageBreakdown merged;
-  for (const auto& server : servers_) merged.merge(server->breakdown());
+LatencyHistogram TestBed::server_span(metrics::Span span) const {
+  LatencyHistogram merged;
+  for (const auto& server : servers_) {
+    if (const auto* rec = server->latency(); rec != nullptr) {
+      merged.merge(rec->span_histogram(span));
+    }
+  }
   return merged;
+}
+
+std::uint64_t TestBed::server_ops_handled() const {
+  std::uint64_t ops = 0;
+  for (const auto& server : servers_) {
+    if (const auto* rec = server->latency(); rec != nullptr) {
+      for (std::size_t i = 0; i < metrics::kOpCount; ++i) {
+        ops += rec->op_histogram(static_cast<metrics::Op>(i)).count();
+      }
+    }
+  }
+  return ops;
 }
 
 store::ManagerStats TestBed::store_stats() const {

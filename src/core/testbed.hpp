@@ -105,8 +105,13 @@ class TestBed {
     return *servers_[i];
   }
 
-  /// Server-side stage times merged over all servers.
-  [[nodiscard]] StageBreakdown server_breakdown() const;
+  /// One server span merged over all servers (empty for servers that do
+  /// not record latency). Its sum_ns() over server_ops_handled() is the
+  /// per-op time of a paper stage (DESIGN.md §10).
+  [[nodiscard]] LatencyHistogram server_span(metrics::Span span) const;
+  /// Requests all servers handled end to end: the sum of their op-histogram
+  /// counts.
+  [[nodiscard]] std::uint64_t server_ops_handled() const;
   /// Store stats summed over all servers.
   [[nodiscard]] store::ManagerStats store_stats() const;
   [[nodiscard]] ssd::DeviceStats device_stats() const;

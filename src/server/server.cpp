@@ -304,7 +304,7 @@ void MemcachedServer::worker_main(std::size_t worker_index) {
 
 MemcachedServer::OpResult MemcachedServer::execute_op(
     std::uint16_t opcode, std::span<const char> body, WorkerMetrics& metrics,
-    StageBreakdown& stages, std::vector<char>& value, metrics::Op& op_cls) {
+    std::vector<char>& value, metrics::Op& op_cls) {
   OpResult result;
   StatusCode& status = result.status;
   std::uint32_t& flags = result.flags;
@@ -322,7 +322,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       const auto req = decode_set(body);
       if (req.has_value()) {
         status = manager_.set(req->key, req->value, req->flags,
-                              req->expiration, &stages);
+                              req->expiration);
         metrics.sets.fetch_add(1, kRelaxed);
       } else {
         count_malformed();
@@ -332,7 +332,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
     case kOpGet: {
       const auto req = decode_key_request(body);
       if (req.has_value()) {
-        status = manager_.get(req->key, value, flags, &stages);
+        status = manager_.get(req->key, value, flags);
         has_value = ok(status);
         metrics.gets.fetch_add(1, kRelaxed);
       } else {
@@ -359,17 +359,17 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
         switch (opcode) {
           case kOpAdd:
             status = manager_.add(req->key, req->value, req->flags,
-                                  req->expiration, &stages);
+                                  req->expiration);
             break;
           case kOpReplace:
             status = manager_.replace(req->key, req->value, req->flags,
-                                      req->expiration, &stages);
+                                      req->expiration);
             break;
           case kOpAppend:
-            status = manager_.append(req->key, req->value, &stages);
+            status = manager_.append(req->key, req->value);
             break;
           default:
-            status = manager_.prepend(req->key, req->value, &stages);
+            status = manager_.prepend(req->key, req->value);
             break;
         }
         metrics.sets.fetch_add(1, kRelaxed);
@@ -383,8 +383,8 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       const auto req = decode_counter(body);
       if (req.has_value()) {
         const auto result_v = opcode == kOpIncr
-                                  ? manager_.incr(req->key, req->delta, &stages)
-                                  : manager_.decr(req->key, req->delta, &stages);
+                                  ? manager_.incr(req->key, req->delta)
+                                  : manager_.decr(req->key, req->delta);
         status = result_v.status();
         if (result_v.ok()) {
           value = encode_counter_value(result_v.value());
@@ -450,7 +450,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       if (req.has_value()) {
         std::vector<char> raw;
         std::uint64_t cas = 0;
-        status = manager_.gets(req->key, raw, flags, cas, &stages);
+        status = manager_.gets(req->key, raw, flags, cas);
         if (ok(status)) {
           value.resize(8 + raw.size());
           std::memcpy(value.data(), &cas, 8);
@@ -467,7 +467,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       const auto req = decode_cas(body);
       if (req.has_value()) {
         status = manager_.cas(req->key, req->value, req->flags,
-                              req->expiration, req->cas, &stages);
+                              req->expiration, req->cas);
         metrics.sets.fetch_add(1, kRelaxed);
       } else {
         count_malformed();
@@ -543,13 +543,12 @@ void MemcachedServer::handle(const net::Message& request,
       observing ? Clock::now() : Clock::time_point{};
 
   std::vector<char> value;
-  StageBreakdown stages;
-  const OpResult op = execute_op(request.opcode, body, metrics, stages, value,
-                                 op_cls);
+  const OpResult op = execute_op(request.opcode, body, metrics, value, op_cls);
   const StatusCode status = op.status;
 
-  // Server response stage: format + hand to the NIC.
-  const auto response_start = Clock::now();
+  // Response span: format + hand to the NIC.
+  const Clock::time_point response_start =
+      observing ? Clock::now() : Clock::time_point{};
   const auto payload = encode_response(
       status, op.flags,
       op.has_value ? std::span<const char>(value) : std::span<const char>{});
@@ -558,11 +557,9 @@ void MemcachedServer::handle(const net::Message& request,
              static_cast<unsigned long long>(request.wr_id), request.opcode,
              static_cast<unsigned>(status));
   endpoint_->send(request.src, kOpResponse, request.wr_id, payload);
-  const auto response_end = Clock::now();
-  stages.add(Stage::kServerResponse, response_end - response_start);
-  stages.add_ops();
 
   if (observing) {
+    const auto response_end = Clock::now();
     // End-to-end latency is receipt -> response sent; the fabric-transfer
     // span (recorded above) covers the wire time before receipt.
     if (recorder != nullptr) {
@@ -606,14 +603,6 @@ void MemcachedServer::handle(const net::Message& request,
       tracer_->publish(trace);
     }
   }
-
-  // Publish this request's stage time into the thread's slot (uncontended
-  // relaxed adds -- no shared lock anywhere on the request path).
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    const std::uint64_t ns = stages.total_ns(static_cast<Stage>(i));
-    if (ns != 0) metrics.stage_ns[i].fetch_add(ns, kRelaxed);
-  }
-  metrics.stage_ops.fetch_add(stages.ops(), kRelaxed);
 }
 
 void MemcachedServer::handle_batch(const net::Message& request,
@@ -672,7 +661,6 @@ void MemcachedServer::handle_batch(const net::Message& request,
   // Vectorized store phase: each sub-op runs through the same dispatch as a
   // single request (same counters, same store calls); the store-phase span
   // covers the whole frame.
-  StageBreakdown stages;
   std::vector<metrics::Op> op_classes;
   op_classes.reserve(n);
   const Clock::time_point store_start =
@@ -681,7 +669,7 @@ void MemcachedServer::handle_batch(const net::Message& request,
     std::vector<char> value;
     metrics::Op op_cls = op_class(item.opcode);
     const OpResult op =
-        execute_op(item.opcode, item.payload, metrics, stages, value, op_cls);
+        execute_op(item.opcode, item.payload, metrics, value, op_cls);
     op_classes.push_back(op_cls);
     bodies.push_back(encode_response(
         op.status, op.flags,
@@ -691,17 +679,16 @@ void MemcachedServer::handle_batch(const net::Message& request,
 
   // One response doorbell for the whole frame -- the server-side half of the
   // amortization the client started.
-  const auto response_start = Clock::now();
+  const Clock::time_point response_start =
+      recorder != nullptr ? Clock::now() : Clock::time_point{};
   const auto frame = encode_batch_response(responses);
   HYKV_DEBUG("server %llu handled batch wr=%llu n=%zu",
              static_cast<unsigned long long>(endpoint_->id()),
              static_cast<unsigned long long>(request.wr_id), n);
   endpoint_->send(request.src, kOpBatchResponse, request.wr_id, frame);
-  const auto response_end = Clock::now();
-  stages.add(Stage::kServerResponse, response_end - response_start);
-  stages.add_ops(n);
 
   if (recorder != nullptr) {
+    const auto response_end = Clock::now();
     // Per sub-op latency (receipt -> batched response sent) keeps the
     // METRICS.md balance: sum of op counts == requests - shed -
     // expired_on_arrival. Store/response spans are per *frame* -- spans
@@ -715,12 +702,6 @@ void MemcachedServer::handle_batch(const net::Message& request,
     recorder->record_span(metrics::Span::kResponse,
                           metrics::delta_ns(response_start, response_end));
   }
-
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    const std::uint64_t ns = stages.total_ns(static_cast<Stage>(i));
-    if (ns != 0) metrics.stage_ns[i].fetch_add(ns, kRelaxed);
-  }
-  metrics.stage_ops.fetch_add(stages.ops(), kRelaxed);
 }
 
 std::vector<char> MemcachedServer::render_stats() const {
@@ -728,19 +709,6 @@ std::vector<char> MemcachedServer::render_stats() const {
       render_stats_text(counters(), manager_.stats(), manager_.slab_stats(),
                         manager_.item_count(), manager_.num_shards());
   return {text.begin(), text.end()};
-}
-
-StageBreakdown MemcachedServer::breakdown() const {
-  StageBreakdown merged;
-  for (const auto& slot : metrics_) {
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-      merged.add(static_cast<Stage>(i),
-                 std::chrono::nanoseconds(static_cast<std::int64_t>(
-                     slot.stage_ns[i].load(kRelaxed))));
-    }
-    merged.add_ops(slot.stage_ops.load(kRelaxed));
-  }
-  return merged;
 }
 
 ServerCounters MemcachedServer::counters() const {
@@ -763,8 +731,6 @@ ServerCounters MemcachedServer::counters() const {
 
 void MemcachedServer::reset_metrics() {
   for (auto& slot : metrics_) {
-    for (auto& ns : slot.stage_ns) ns.store(0, kRelaxed);
-    slot.stage_ops.store(0, kRelaxed);
     slot.requests.store(0, kRelaxed);
     slot.sets.store(0, kRelaxed);
     slot.gets.store(0, kRelaxed);

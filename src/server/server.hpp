@@ -20,12 +20,12 @@
 // requests for different key partitions never share a store lock, so
 // processing_threads > 1 actually overlaps hybrid-memory work. The request
 // hot path itself is metric-lock-free: every handler thread owns a metrics
-// slot of relaxed atomics (counters + stage nanos) merged on demand by
-// counters()/breakdown(), instead of taking a global metrics mutex several
-// times per request.
+// slot of relaxed atomic counters merged on demand by counters(), instead of
+// taking a global metrics mutex several times per request.
 //
-// Per-stage wall time is attributed to the paper's stage taxonomy and can be
-// harvested with breakdown() for Fig. 2 / Fig. 6.
+// Per-stage wall time lands in the latency recorder (latency()) as spans;
+// the paper's server stages for Fig. 2 / Fig. 6 are derived from their sums
+// (DESIGN.md §10).
 #pragma once
 
 #include <array>
@@ -40,7 +40,6 @@
 #include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/queue.hpp"
-#include "common/stage.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/fabric.hpp"
 #include "ssd/io_engine.hpp"
@@ -157,9 +156,6 @@ class MemcachedServer {
   [[nodiscard]] net::EndpointId endpoint_id() const { return endpoint_->id(); }
   [[nodiscard]] const std::string& name() const noexcept { return config_.name; }
 
-  /// Merged per-stage server-side time (SlabAllocation, CacheCheck+Load,
-  /// CacheUpdate, ServerResponse), summed over every handler thread.
-  [[nodiscard]] StageBreakdown breakdown() const;
   [[nodiscard]] ServerCounters counters() const;
   [[nodiscard]] store::ManagerStats store_stats() const { return manager_.stats(); }
   [[nodiscard]] store::ShardedManager& manager() noexcept { return manager_; }
@@ -183,8 +179,6 @@ class MemcachedServer {
   struct alignas(64) WorkerMetrics {
     // All counters ATOMIC_PUBLISHED(single-writer relaxed slot): no lock by
     // design, see the struct comment above.
-    std::array<std::atomic<std::uint64_t>, kStageCount> stage_ns{};
-    std::atomic<std::uint64_t> stage_ops ATOMIC_PUBLISHED(){0};
     std::atomic<std::uint64_t> requests ATOMIC_PUBLISHED(){0};
     std::atomic<std::uint64_t> sets ATOMIC_PUBLISHED(){0};
     std::atomic<std::uint64_t> gets ATOMIC_PUBLISHED(){0};
@@ -227,8 +221,8 @@ class MemcachedServer {
   /// Decode + execute one operation against the store, bumping its per-op
   /// counter (malformed ops land in `malformed` and flip op_cls to kOther).
   OpResult execute_op(std::uint16_t opcode, std::span<const char> body,
-                      WorkerMetrics& metrics, StageBreakdown& stages,
-                      std::vector<char>& value, metrics::Op& op_cls);
+                      WorkerMetrics& metrics, std::vector<char>& value,
+                      metrics::Op& op_cls);
   /// Vectorized execution of a kOpBatch frame: per-sub-op admission-exact
   /// accounting, one batched response (DESIGN.md §12).
   void handle_batch(const net::Message& request,

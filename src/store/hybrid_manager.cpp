@@ -15,6 +15,7 @@ namespace hykv::store {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+using metrics::Span;
 
 void put_u32(char* dst, std::uint32_t v) { std::memcpy(dst, &v, 4); }
 void put_i64(char* dst, std::int64_t v) { std::memcpy(dst, &v, 8); }
@@ -167,12 +168,9 @@ bool HybridSlabManager::drop_one(unsigned cls) {
 }
 
 bool HybridSlabManager::flush_batch(unsigned cls) {
-  metrics::LatencyRecorder* const rec = config_.latency;
-  if (rec == nullptr) return do_flush_batch(cls);
-  const SteadyClock::time_point start = SteadyClock::now();
+  const sim::TimePoint start = metrics::span_start(config_.latency);
   const bool flushed = do_flush_batch(cls);
-  rec->record_span(metrics::Span::kSsdFlush,
-                   metrics::delta_ns(start, SteadyClock::now()));
+  metrics::record_since(config_.latency, Span::kSsdFlush, start);
   return flushed;
 }
 
@@ -353,8 +351,8 @@ char* HybridSlabManager::allocate_with_reclaim(unsigned cls) {
 
 StatusCode HybridSlabManager::set(std::string_view key,
                                   std::span<const char> value,
-                                  std::uint32_t flags, std::int64_t expiration,
-                                  StageBreakdown* stages) {
+                                  std::uint32_t flags,
+                                  std::int64_t expiration) {
   if (key.empty()) return StatusCode::kInvalidArgument;
   const std::size_t total = item_total_size(key.size(), value.size());
   const unsigned cls = slabs_.class_for(total);
@@ -372,16 +370,15 @@ StatusCode HybridSlabManager::set(std::string_view key,
   // allocation, no flush churn; memcached-grade stores optimise this case
   // and without it a write-heavy Zipf workload would evict on every update.
   {
-    const auto check_start = SteadyClock::now();
+    const sim::TimePoint check_start = metrics::span_start(config_.latency);
     Entry* hot = index_.find(key);
     ItemHeader* item =
         hot != nullptr ? hot->ram.load(std::memory_order_relaxed) : nullptr;
     if (item != nullptr && item->slab_class == cls &&
         item->key_len == key.size()) {
-      if (stages != nullptr) {
-        stages->add(Stage::kCacheCheckLoad, SteadyClock::now() - check_start);
-      }
-      const auto update_start = SteadyClock::now();
+      metrics::record_since(config_.latency, Span::kCacheCheckLoad,
+                            check_start);
+      const sim::TimePoint update_start = metrics::span_start(config_.latency);
       // Published item: optimistic readers may be copying it right now, so
       // the in-place mutation runs under the seqlock bracket and every store
       // is a relaxed atomic (tears are detected, never undefined).
@@ -396,24 +393,20 @@ StatusCode HybridSlabManager::set(std::string_view key,
       seq_write_end(item, even);
       lru_[cls].move_to_front(item);
       ++stats_.sets;
-      if (stages != nullptr) {
-        stages->add(Stage::kCacheUpdate, SteadyClock::now() - update_start);
-      }
+      metrics::record_since(config_.latency, Span::kCacheUpdate, update_start);
       return StatusCode::kOk;
     }
   }
 
   // Slab allocation (including any flush/eviction it triggers).
-  const auto alloc_start = SteadyClock::now();
+  const sim::TimePoint alloc_start = metrics::span_start(config_.latency);
   char* chunk = allocate_with_reclaim(cls);
-  if (stages != nullptr) {
-    stages->add(Stage::kSlabAllocation, SteadyClock::now() - alloc_start);
-  }
+  metrics::record_since(config_.latency, Span::kSlabAllocation, alloc_start);
   if (chunk == nullptr) return StatusCode::kOutOfMemory;
 
   // Cache check: displace any previous version of the key. (The entry must
   // be re-looked-up here: the lock may have been dropped during a flush.)
-  const auto check_start = SteadyClock::now();
+  const sim::TimePoint check_start = metrics::span_start(config_.latency);
   Entry* existing = index_.find(key);
   if (existing != nullptr) {
     ItemHeader* old = existing->ram.load(std::memory_order_relaxed);
@@ -423,14 +416,12 @@ StatusCode HybridSlabManager::set(std::string_view key,
     }
     if (existing->ssd != nullptr) release_record_locked(existing->ssd);
   }
-  if (stages != nullptr) {
-    stages->add(Stage::kCacheCheckLoad, SteadyClock::now() - check_start);
-  }
+  metrics::record_since(config_.latency, Span::kCacheCheckLoad, check_start);
 
   // Cache update: format the item, (re)index it, promote to LRU head. The
   // release publication store makes the plain format_item writes visible to
   // lock-free readers.
-  const auto update_start = SteadyClock::now();
+  const sim::TimePoint update_start = metrics::span_start(config_.latency);
   ItemHeader* item = format_item(chunk, key, value, flags, expiry, cls);
   item->cas = cas_seq_++;
   if (existing != nullptr) {
@@ -441,21 +432,16 @@ StatusCode HybridSlabManager::set(std::string_view key,
   }
   lru_[cls].push_front(item);
   ++stats_.sets;
-  if (stages != nullptr) {
-    stages->add(Stage::kCacheUpdate, SteadyClock::now() - update_start);
-  }
+  metrics::record_since(config_.latency, Span::kCacheUpdate, update_start);
   return StatusCode::kOk;
 }
 
 StatusCode HybridSlabManager::get(std::string_view key, std::vector<char>& out,
-                                  std::uint32_t& flags,
-                                  StageBreakdown* stages) {
+                                  std::uint32_t& flags) {
   // One timestamp classifies the whole read by outcome: a GET that falls
   // back pays the failed optimistic attempt too, and that full cost lands in
   // the locked_read span (the cost the fallback actually imposed).
-  metrics::LatencyRecorder* const rec = config_.latency;
-  const SteadyClock::time_point read_start =
-      rec != nullptr ? SteadyClock::now() : SteadyClock::time_point{};
+  const sim::TimePoint read_start = metrics::span_start(config_.latency);
   if (config_.optimistic_reads) {
     // The modelled per-op CPU cost is realised *outside* any lock here: on
     // the optimistic design the hash/copy work genuinely runs without the
@@ -464,27 +450,18 @@ StatusCode HybridSlabManager::get(std::string_view key, std::vector<char>& out,
       sim::advance_coarse(config_.modelled_op_cost);
     }
     if (try_optimistic_get(key, out, flags, nullptr)) {
-      if (rec != nullptr) {
-        rec->record_span(metrics::Span::kOptimisticRead,
-                         metrics::delta_ns(read_start, SteadyClock::now()));
-      }
+      metrics::record_since(config_.latency, Span::kOptimisticRead, read_start);
       return StatusCode::kOk;
     }
     opt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     const StatusCode code =
-        get_locked(key, out, flags, stages, /*pay_modelled_cost=*/false);
-    if (rec != nullptr) {
-      rec->record_span(metrics::Span::kLockedRead,
-                       metrics::delta_ns(read_start, SteadyClock::now()));
-    }
+        get_locked(key, out, flags, /*pay_modelled_cost=*/false);
+    metrics::record_since(config_.latency, Span::kLockedRead, read_start);
     return code;
   }
   const StatusCode code =
-      get_locked(key, out, flags, stages, /*pay_modelled_cost=*/true);
-  if (rec != nullptr) {
-    rec->record_span(metrics::Span::kLockedRead,
-                     metrics::delta_ns(read_start, SteadyClock::now()));
-  }
+      get_locked(key, out, flags, /*pay_modelled_cost=*/true);
+  metrics::record_since(config_.latency, Span::kLockedRead, read_start);
   return code;
 }
 
@@ -535,17 +512,14 @@ bool HybridSlabManager::try_optimistic_get(std::string_view key,
 StatusCode HybridSlabManager::get_locked(std::string_view key,
                                          std::vector<char>& out,
                                          std::uint32_t& flags,
-                                         StageBreakdown* stages,
                                          bool pay_modelled_cost) {
   MutexLock lock(mu_);
   if (pay_modelled_cost && config_.modelled_op_cost.count() > 0) {
     sim::advance_coarse(config_.modelled_op_cost);  // modelled under-lock CPU work
   }
-  const auto check_start = SteadyClock::now();
+  const sim::TimePoint check_start = metrics::span_start(config_.latency);
   auto charge_check = [&] {
-    if (stages != nullptr) {
-      stages->add(Stage::kCacheCheckLoad, SteadyClock::now() - check_start);
-    }
+    metrics::record_since(config_.latency, Span::kCacheCheckLoad, check_start);
   };
 
   Entry* entry = index_.find(key);
@@ -570,11 +544,9 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
     flags = item->flags;
     ++stats_.ram_hits;
     charge_check();
-    const auto update_start = SteadyClock::now();
+    const sim::TimePoint update_start = metrics::span_start(config_.latency);
     lru_[item->slab_class].move_to_front(item);
-    if (stages != nullptr) {
-      stages->add(Stage::kCacheUpdate, SteadyClock::now() - update_start);
-    }
+    metrics::record_since(config_.latency, Span::kCacheUpdate, update_start);
     return StatusCode::kOk;
   }
 
@@ -655,7 +627,7 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
   //    means flushing other items first (H-RDMA-Def; this is why its Gets
   //    from SSD are so expensive).
   if (config_.promote_on_hit || config_.force_promote) {
-    const auto update_start = SteadyClock::now();
+    const sim::TimePoint update_start = metrics::span_start(config_.latency);
     const std::size_t total = item_total_size(key.size(), out.size());
     const unsigned cls = slabs_.class_for(total);
     char* chunk = nullptr;
@@ -663,11 +635,10 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
       if (config_.force_promote) {
         // May drop and re-acquire the lock around a flush; the allocation
         // cost (incl. flush) is slab-management work on the Get path.
-        const auto alloc_start = SteadyClock::now();
+        const sim::TimePoint alloc_start = metrics::span_start(config_.latency);
         chunk = allocate_with_reclaim(cls);
-        if (stages != nullptr) {
-          stages->add(Stage::kSlabAllocation, SteadyClock::now() - alloc_start);
-        }
+        metrics::record_since(config_.latency, Span::kSlabAllocation,
+                              alloc_start);
       } else {
         // Epoch-expired chunks are free memory in waiting: drain them so an
         // opportunistic promotion isn't refused while RAM is available.
@@ -692,56 +663,51 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
         slabs_.deallocate(chunk, cls);
       }
     }
-    if (stages != nullptr) {
-      stages->add(Stage::kCacheUpdate, SteadyClock::now() - update_start);
-    }
+    metrics::record_since(config_.latency, Span::kCacheUpdate, update_start);
   }
   return StatusCode::kOk;
 }
 
 StatusCode HybridSlabManager::add(std::string_view key,
                                   std::span<const char> value,
-                                  std::uint32_t flags, std::int64_t expiration,
-                                  StageBreakdown* stages) {
+                                  std::uint32_t flags,
+                                  std::int64_t expiration) {
   if (exists(key)) return StatusCode::kNotStored;
   // Benign TOCTOU with concurrent setters: a racing set simply wins, which
   // matches memcached's last-writer semantics under its coarse lock.
-  return set(key, value, flags, expiration, stages);
+  return set(key, value, flags, expiration);
 }
 
 StatusCode HybridSlabManager::replace(std::string_view key,
                                       std::span<const char> value,
                                       std::uint32_t flags,
-                                      std::int64_t expiration,
-                                      StageBreakdown* stages) {
+                                      std::int64_t expiration) {
   if (!exists(key)) return StatusCode::kNotStored;
-  return set(key, value, flags, expiration, stages);
+  return set(key, value, flags, expiration);
 }
 
 StatusCode HybridSlabManager::append(std::string_view key,
-                                     std::span<const char> suffix,
-                                     StageBreakdown* stages) {
+                                     std::span<const char> suffix) {
   std::vector<char> current;
   std::uint32_t flags = 0;
-  const StatusCode code = get(key, current, flags, stages);
+  const StatusCode code = get(key, current, flags);
   if (!ok(code)) {
     return code == StatusCode::kNotFound ? StatusCode::kNotStored : code;
   }
   current.insert(current.end(), suffix.begin(), suffix.end());
-  return set(key, current, flags, 0, stages);
+  return set(key, current, flags, 0);
 }
 
 StatusCode HybridSlabManager::prepend(std::string_view key,
-                                      std::span<const char> prefix,
-                                      StageBreakdown* stages) {
+                                      std::span<const char> prefix) {
   std::vector<char> current;
   std::uint32_t flags = 0;
-  const StatusCode code = get(key, current, flags, stages);
+  const StatusCode code = get(key, current, flags);
   if (!ok(code)) {
     return code == StatusCode::kNotFound ? StatusCode::kNotStored : code;
   }
   current.insert(current.begin(), prefix.begin(), prefix.end());
-  return set(key, current, flags, 0, stages);
+  return set(key, current, flags, 0);
 }
 
 namespace {
@@ -758,11 +724,10 @@ bool parse_ascii_u64(std::span<const char> bytes, std::uint64_t& out) {
 }  // namespace
 
 Result<std::uint64_t> HybridSlabManager::incr(std::string_view key,
-                                              std::uint64_t delta,
-                                              StageBreakdown* stages) {
+                                              std::uint64_t delta) {
   std::vector<char> current;
   std::uint32_t flags = 0;
-  const StatusCode code = get(key, current, flags, stages);
+  const StatusCode code = get(key, current, flags);
   if (!ok(code)) return code;
   std::uint64_t value = 0;
   if (!parse_ascii_u64(current, value)) return StatusCode::kInvalidArgument;
@@ -771,17 +736,16 @@ Result<std::uint64_t> HybridSlabManager::incr(std::string_view key,
   const int len = std::snprintf(buf, sizeof(buf), "%llu",
                                 static_cast<unsigned long long>(value));
   const StatusCode stored = set(key, std::span<const char>(buf, static_cast<std::size_t>(len)),
-                                flags, 0, stages);
+                                flags, 0);
   if (!ok(stored)) return stored;
   return value;
 }
 
 Result<std::uint64_t> HybridSlabManager::decr(std::string_view key,
-                                              std::uint64_t delta,
-                                              StageBreakdown* stages) {
+                                              std::uint64_t delta) {
   std::vector<char> current;
   std::uint32_t flags = 0;
-  const StatusCode code = get(key, current, flags, stages);
+  const StatusCode code = get(key, current, flags);
   if (!ok(code)) return code;
   std::uint64_t value = 0;
   if (!parse_ascii_u64(current, value)) return StatusCode::kInvalidArgument;
@@ -790,7 +754,7 @@ Result<std::uint64_t> HybridSlabManager::decr(std::string_view key,
   const int len = std::snprintf(buf, sizeof(buf), "%llu",
                                 static_cast<unsigned long long>(value));
   const StatusCode stored = set(key, std::span<const char>(buf, static_cast<std::size_t>(len)),
-                                flags, 0, stages);
+                                flags, 0);
   if (!ok(stored)) return stored;
   return value;
 }
@@ -829,11 +793,8 @@ std::uint64_t HybridSlabManager::current_cas_locked(const Entry* entry) const {
 }
 
 StatusCode HybridSlabManager::gets(std::string_view key, std::vector<char>& out,
-                                   std::uint32_t& flags, std::uint64_t& cas,
-                                   StageBreakdown* stages) {
-  metrics::LatencyRecorder* const rec = config_.latency;
-  const SteadyClock::time_point read_start =
-      rec != nullptr ? SteadyClock::now() : SteadyClock::time_point{};
+                                   std::uint32_t& flags, std::uint64_t& cas) {
+  const sim::TimePoint read_start = metrics::span_start(config_.latency);
   if (config_.optimistic_reads) {
     if (config_.modelled_op_cost.count() > 0) {
       sim::advance_coarse(config_.modelled_op_cost);
@@ -842,27 +803,18 @@ StatusCode HybridSlabManager::gets(std::string_view key, std::vector<char>& out,
     // CAS token always matches the returned bytes -- the same guarantee the
     // locked path gets from holding the mutex.
     if (try_optimistic_get(key, out, flags, &cas)) {
-      if (rec != nullptr) {
-        rec->record_span(metrics::Span::kOptimisticRead,
-                         metrics::delta_ns(read_start, SteadyClock::now()));
-      }
+      metrics::record_since(config_.latency, Span::kOptimisticRead, read_start);
       return StatusCode::kOk;
     }
     opt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    const StatusCode code = gets_locked(key, out, flags, cas, stages,
-                                        /*pay_modelled_cost=*/false);
-    if (rec != nullptr) {
-      rec->record_span(metrics::Span::kLockedRead,
-                       metrics::delta_ns(read_start, SteadyClock::now()));
-    }
+    const StatusCode code =
+        gets_locked(key, out, flags, cas, /*pay_modelled_cost=*/false);
+    metrics::record_since(config_.latency, Span::kLockedRead, read_start);
     return code;
   }
   const StatusCode code =
-      gets_locked(key, out, flags, cas, stages, /*pay_modelled_cost=*/true);
-  if (rec != nullptr) {
-    rec->record_span(metrics::Span::kLockedRead,
-                     metrics::delta_ns(read_start, SteadyClock::now()));
-  }
+      gets_locked(key, out, flags, cas, /*pay_modelled_cost=*/true);
+  metrics::record_since(config_.latency, Span::kLockedRead, read_start);
   return code;
 }
 
@@ -870,7 +822,6 @@ StatusCode HybridSlabManager::gets_locked(std::string_view key,
                                           std::vector<char>& out,
                                           std::uint32_t& flags,
                                           std::uint64_t& cas,
-                                          StageBreakdown* stages,
                                           bool pay_modelled_cost) {
   {
     const MutexLock lock(mu_);
@@ -879,20 +830,19 @@ StatusCode HybridSlabManager::gets_locked(std::string_view key,
   if (cas == 0) {
     std::uint32_t unused = 0;
     // Counts the miss consistently.
-    (void)get_locked(key, out, unused, stages, pay_modelled_cost);
+    (void)get_locked(key, out, unused, pay_modelled_cost);
     return StatusCode::kNotFound;
   }
   // The value matching this CAS token: any interleaved overwrite bumps the
   // version, so a stale read here simply fails the subsequent cas() -- the
   // exact guarantee memcached provides.
-  return get_locked(key, out, flags, stages, pay_modelled_cost);
+  return get_locked(key, out, flags, pay_modelled_cost);
 }
 
 StatusCode HybridSlabManager::cas(std::string_view key,
                                   std::span<const char> value,
                                   std::uint32_t flags, std::int64_t expiration,
-                                  std::uint64_t expected_cas,
-                                  StageBreakdown* stages) {
+                                  std::uint64_t expected_cas) {
   if (key.empty()) return StatusCode::kInvalidArgument;
   const std::size_t total = item_total_size(key.size(), value.size());
   const unsigned cls = slabs_.class_for(total);
@@ -946,7 +896,6 @@ StatusCode HybridSlabManager::cas(std::string_view key,
   entry->ram.store(item, std::memory_order_release);
   lru_[cls].push_front(item);
   ++stats_.sets;
-  (void)stages;
   return StatusCode::kOk;
 }
 

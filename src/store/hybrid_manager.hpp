@@ -36,7 +36,6 @@
 #include "common/thread_annotations.hpp"
 #include "common/metrics.hpp"
 #include "common/sim_time.hpp"
-#include "common/stage.hpp"
 #include "common/status.hpp"
 #include "ssd/io_engine.hpp"
 #include "store/hash_map.hpp"
@@ -95,10 +94,11 @@ struct ManagerConfig {
   /// on conflict/miss/SSD residency. Results are byte-identical either way;
   /// off restores the pre-optimistic, strictly-locked behaviour.
   bool optimistic_reads = true;
-  /// Optional latency recorder for store-phase spans (optimistic vs locked
-  /// reads, SSD flush attempts). Not owned; must outlive the manager. The
-  /// server injects its recorder here; bare managers default to nullptr and
-  /// pay zero recording cost. ShardedManager copies the pointer into every
+  /// Optional latency recorder for store-phase spans: optimistic vs locked
+  /// reads, SSD flush attempts, and the paper's slab-allocation, cache
+  /// check+load and cache-update stages. Not owned; must outlive the
+  /// manager. The server injects its recorder here; bare managers default
+  /// to nullptr and pay zero recording cost (not even a clock read). ShardedManager copies the pointer into every
   /// shard's config, so all shards record into the same recorder.
   metrics::LatencyRecorder* latency = nullptr;
 };
@@ -159,18 +159,17 @@ class HybridSlabManager {
   HybridSlabManager& operator=(const HybridSlabManager&) = delete;
 
   /// Stores (or overwrites) key -> value. `expiration` is relative seconds
-  /// (0 = never). Stage time lands in kSlabAllocation (allocation + any
-  /// flush) and kCacheUpdate (item write + index/LRU update); the lookup of
-  /// a previous version lands in kCacheCheckLoad.
+  /// (0 = never). With a recorder, time lands in Span::kSlabAllocation
+  /// (allocation + any flush) and kCacheUpdate (item write + index/LRU
+  /// update); the lookup of a previous version lands in kCacheCheckLoad.
   StatusCode set(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration,
-                 StageBreakdown* stages = nullptr) EXCLUDES(mu_);
+                 std::uint32_t flags, std::int64_t expiration) EXCLUDES(mu_);
 
-  /// Fetches key into `out` (resized to the value length). SSD loads are
-  /// attributed to kCacheCheckLoad, LRU promotion to kCacheUpdate.
+  /// Fetches key into `out` (resized to the value length). On the locked
+  /// path SSD loads are recorded as Span::kCacheCheckLoad, LRU promotion as
+  /// kCacheUpdate; a lock-free hit records only kOptimisticRead.
   StatusCode get(std::string_view key, std::vector<char>& out,
-                 std::uint32_t& flags, StageBreakdown* stages = nullptr)
-      EXCLUDES(mu_);
+                 std::uint32_t& flags) EXCLUDES(mu_);
 
   StatusCode del(std::string_view key) EXCLUDES(mu_);
   [[nodiscard]] bool exists(std::string_view key) const EXCLUDES(mu_);
@@ -178,46 +177,38 @@ class HybridSlabManager {
   /// memcached "add": stores only if the key does not exist (kNotStored
   /// otherwise).
   StatusCode add(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration,
-                 StageBreakdown* stages = nullptr);
+                 std::uint32_t flags, std::int64_t expiration);
 
   /// memcached "replace": stores only if the key exists (kNotStored
   /// otherwise).
   StatusCode replace(std::string_view key, std::span<const char> value,
-                     std::uint32_t flags, std::int64_t expiration,
-                     StageBreakdown* stages = nullptr);
+                     std::uint32_t flags, std::int64_t expiration);
 
   /// memcached "append"/"prepend": extends an existing value (kNotStored if
   /// absent). Reads the current value (possibly from SSD) and re-stores.
-  StatusCode append(std::string_view key, std::span<const char> suffix,
-                    StageBreakdown* stages = nullptr);
-  StatusCode prepend(std::string_view key, std::span<const char> prefix,
-                     StageBreakdown* stages = nullptr);
+  StatusCode append(std::string_view key, std::span<const char> suffix);
+  StatusCode prepend(std::string_view key, std::span<const char> prefix);
 
   /// memcached "incr"/"decr": the value must be an ASCII unsigned integer;
   /// applies the delta (decr saturates at 0, memcached semantics) and
   /// returns the new value. kNotFound if absent, kInvalidArgument if the
   /// value is not numeric.
-  Result<std::uint64_t> incr(std::string_view key, std::uint64_t delta,
-                             StageBreakdown* stages = nullptr);
-  Result<std::uint64_t> decr(std::string_view key, std::uint64_t delta,
-                             StageBreakdown* stages = nullptr);
+  Result<std::uint64_t> incr(std::string_view key, std::uint64_t delta);
+  Result<std::uint64_t> decr(std::string_view key, std::uint64_t delta);
 
   /// memcached "touch": updates the expiration without moving data.
   StatusCode touch(std::string_view key, std::int64_t expiration) EXCLUDES(mu_);
 
   /// memcached "gets": like get() but also returns the item's CAS version.
   StatusCode gets(std::string_view key, std::vector<char>& out,
-                  std::uint32_t& flags, std::uint64_t& cas,
-                  StageBreakdown* stages = nullptr) EXCLUDES(mu_);
+                  std::uint32_t& flags, std::uint64_t& cas) EXCLUDES(mu_);
 
   /// memcached "cas": stores only if the item's current version equals
   /// `expected_cas`. kNotFound if absent; kNotStored on version mismatch
   /// (memcached's EXISTS).
   StatusCode cas(std::string_view key, std::span<const char> value,
                  std::uint32_t flags, std::int64_t expiration,
-                 std::uint64_t expected_cas, StageBreakdown* stages = nullptr)
-      EXCLUDES(mu_);
+                 std::uint64_t expected_cas) EXCLUDES(mu_);
 
   /// Drops every item (memcached flush_all).
   void clear() EXCLUDES(mu_);
@@ -341,12 +332,11 @@ class HybridSlabManager {
   /// The pre-optimistic locked paths; `pay_modelled_cost` is false when the
   /// caller already realised modelled_op_cost before falling back.
   StatusCode get_locked(std::string_view key, std::vector<char>& out,
-                        std::uint32_t& flags, StageBreakdown* stages,
-                        bool pay_modelled_cost) EXCLUDES(mu_);
+                        std::uint32_t& flags, bool pay_modelled_cost)
+      EXCLUDES(mu_);
   StatusCode gets_locked(std::string_view key, std::vector<char>& out,
                          std::uint32_t& flags, std::uint64_t& cas,
-                         StageBreakdown* stages, bool pay_modelled_cost)
-      EXCLUDES(mu_);
+                         bool pay_modelled_cost) EXCLUDES(mu_);
 
   [[nodiscard]] ssd::IoScheme scheme_for_class(unsigned cls) const noexcept;
   [[nodiscard]] bool expired(std::int64_t expiry) const noexcept;

@@ -38,8 +38,8 @@
 // other shards keep using the SSD.
 //
 // Observability: the per-shard configs inherit ManagerConfig::latency from
-// the facade config, so every shard records its read-path and flush spans
-// into the same LatencyRecorder (whose slots are per-*thread*, not
+// the facade config, so every shard records its read-path, flush and stage
+// spans into the same LatencyRecorder (whose slots are per-*thread*, not
 // per-shard -- concurrent shards never contend on a slot they don't share).
 //
 // Sizing: the configured RAM arena and SSD cap are split evenly over the
@@ -55,7 +55,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/stage.hpp"
 #include "common/status.hpp"
 #include "ssd/io_engine.hpp"
 #include "store/hybrid_manager.hpp"
@@ -83,57 +82,48 @@ class ShardedManager {
   // -- Per-key operations: forwarded to the key's shard. Signatures and
   //    semantics match HybridSlabManager exactly (drop-in replacement).
   StatusCode set(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration,
-                 StageBreakdown* stages = nullptr) {
-    return shard_for(key).set(key, value, flags, expiration, stages);
+                 std::uint32_t flags, std::int64_t expiration) {
+    return shard_for(key).set(key, value, flags, expiration);
   }
   StatusCode get(std::string_view key, std::vector<char>& out,
-                 std::uint32_t& flags, StageBreakdown* stages = nullptr) {
-    return shard_for(key).get(key, out, flags, stages);
+                 std::uint32_t& flags) {
+    return shard_for(key).get(key, out, flags);
   }
   StatusCode del(std::string_view key) { return shard_for(key).del(key); }
   [[nodiscard]] bool exists(std::string_view key) const {
     return shard_for(key).exists(key);
   }
   StatusCode add(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration,
-                 StageBreakdown* stages = nullptr) {
-    return shard_for(key).add(key, value, flags, expiration, stages);
+                 std::uint32_t flags, std::int64_t expiration) {
+    return shard_for(key).add(key, value, flags, expiration);
   }
   StatusCode replace(std::string_view key, std::span<const char> value,
-                     std::uint32_t flags, std::int64_t expiration,
-                     StageBreakdown* stages = nullptr) {
-    return shard_for(key).replace(key, value, flags, expiration, stages);
+                     std::uint32_t flags, std::int64_t expiration) {
+    return shard_for(key).replace(key, value, flags, expiration);
   }
-  StatusCode append(std::string_view key, std::span<const char> suffix,
-                    StageBreakdown* stages = nullptr) {
-    return shard_for(key).append(key, suffix, stages);
+  StatusCode append(std::string_view key, std::span<const char> suffix) {
+    return shard_for(key).append(key, suffix);
   }
-  StatusCode prepend(std::string_view key, std::span<const char> prefix,
-                     StageBreakdown* stages = nullptr) {
-    return shard_for(key).prepend(key, prefix, stages);
+  StatusCode prepend(std::string_view key, std::span<const char> prefix) {
+    return shard_for(key).prepend(key, prefix);
   }
-  Result<std::uint64_t> incr(std::string_view key, std::uint64_t delta,
-                             StageBreakdown* stages = nullptr) {
-    return shard_for(key).incr(key, delta, stages);
+  Result<std::uint64_t> incr(std::string_view key, std::uint64_t delta) {
+    return shard_for(key).incr(key, delta);
   }
-  Result<std::uint64_t> decr(std::string_view key, std::uint64_t delta,
-                             StageBreakdown* stages = nullptr) {
-    return shard_for(key).decr(key, delta, stages);
+  Result<std::uint64_t> decr(std::string_view key, std::uint64_t delta) {
+    return shard_for(key).decr(key, delta);
   }
   StatusCode touch(std::string_view key, std::int64_t expiration) {
     return shard_for(key).touch(key, expiration);
   }
   StatusCode gets(std::string_view key, std::vector<char>& out,
-                  std::uint32_t& flags, std::uint64_t& cas,
-                  StageBreakdown* stages = nullptr) {
-    return shard_for(key).gets(key, out, flags, cas, stages);
+                  std::uint32_t& flags, std::uint64_t& cas) {
+    return shard_for(key).gets(key, out, flags, cas);
   }
   StatusCode cas(std::string_view key, std::span<const char> value,
                  std::uint32_t flags, std::int64_t expiration,
-                 std::uint64_t expected_cas, StageBreakdown* stages = nullptr) {
-    return shard_for(key).cas(key, value, flags, expiration, expected_cas,
-                              stages);
+                 std::uint64_t expected_cas) {
+    return shard_for(key).cas(key, value, flags, expiration, expected_cas);
   }
 
   // -- Cross-shard operations: aggregate per-shard results.

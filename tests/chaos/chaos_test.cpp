@@ -235,11 +235,10 @@ TEST_F(ChaosTest, SsdOutageDegradesToRamOnlyAndHeals) {
   stack.device().set_failed(true);  // hard outage from the start
 
   const auto value = make_value(1, 4 << 10);
-  StageBreakdown stages;
   for (std::uint64_t i = 0; i < 200; ++i) {
     // Every set must succeed: the manager degrades instead of failing or
     // blocking behind the dead device.
-    ASSERT_EQ(manager.set(make_key(i), value, 0, 0, &stages), StatusCode::kOk)
+    ASSERT_EQ(manager.set(make_key(i), value, 0, 0), StatusCode::kOk)
         << i;
   }
   auto stats = manager.stats();
@@ -260,7 +259,7 @@ TEST_F(ChaosTest, SsdOutageDegradesToRamOnlyAndHeals) {
   stack.device().set_failed(false);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   for (std::uint64_t i = 200; i < 400; ++i) {
-    ASSERT_EQ(manager.set(make_key(i), value, 0, 0, &stages), StatusCode::kOk)
+    ASSERT_EQ(manager.set(make_key(i), value, 0, 0), StatusCode::kOk)
         << i;
   }
   stats = manager.stats();

@@ -302,8 +302,8 @@ TEST_F(BatchTest, MgetStatusDistinguishesMissFromInvalidKey) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed stats API: the StatsKind overload selects the same three surfaces the
-// deprecated stringly overload reaches, and bad indices fail typed.
+// Typed stats API: StatsKind selects each of the three stats surfaces, and
+// bad indices fail typed.
 
 TEST_F(BatchTest, TypedStatsKindsSelectTheThreeSurfaces) {
   TestBedConfig cfg = small_bed(Design::kRdmaMem);
@@ -324,11 +324,6 @@ TEST_F(BatchTest, TypedStatsKindsSelectTheThreeSurfaces) {
   auto trace_text = client->stats_text(0, client::StatsKind::kTrace);
   ASSERT_TRUE(trace_text.ok());
   EXPECT_NE(trace_text.value().find("\"sample_shift\""), std::string::npos);
-
-  // The deprecated string shim reaches the same surface.
-  auto legacy = client->stats_text(0, "latency");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy.value().rfind("latency_recording 1", 0), 0u);
 
   EXPECT_EQ(client->stats_text(9, client::StatsKind::kCounters).status(),
             StatusCode::kInvalidArgument);

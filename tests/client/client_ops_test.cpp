@@ -116,12 +116,12 @@ TEST_F(ClientOpsTest, StatsTextReportsCounters) {
   ASSERT_EQ(client->set("k", bytes("v")), StatusCode::kOk);
   std::vector<char> out;
   ASSERT_EQ(client->get("k", out), StatusCode::kOk);
-  const auto stats = client->stats_text(0);
+  const auto stats = client->stats_text(0, client::StatsKind::kCounters);
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats.value().find("sets 1"), std::string::npos) << stats.value();
   EXPECT_NE(stats.value().find("gets 1"), std::string::npos);
   EXPECT_NE(stats.value().find("items 1"), std::string::npos);
-  EXPECT_EQ(client->stats_text(99).status(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(client->stats_text(99, client::StatsKind::kCounters).status(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ClientOpsTest, NonblockingIssuedCountsOnlyTheApplicationsOwnCalls) {

@@ -77,7 +77,11 @@ TEST_F(ClientServerTest, GetMissHitsBackendAndRepopulates) {
   ASSERT_EQ(client->get("db-key", out), StatusCode::kOk);  // now cached
   EXPECT_EQ(out, make_value(9, 4096));
   EXPECT_EQ(bed.backend().fetches(), 1u);  // no second backend trip
-  EXPECT_GT(client->breakdown().total_ns(Stage::kMissPenalty), 0u);
+  // One backend fetch, timed as the client's miss_penalty span.
+  const LatencyHistogram miss =
+      client->span_latency(metrics::Span::kMissPenalty);
+  EXPECT_EQ(miss.count(), 1u);
+  EXPECT_GT(miss.sum_ns(), 0u);
 }
 
 TEST_F(ClientServerTest, NonBlockingIsetIgetRoundTrip) {

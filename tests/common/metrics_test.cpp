@@ -121,6 +121,23 @@ TEST(LatencyRecorderTest, OpsAndSpansAreIndependent) {
   EXPECT_EQ(recorder.span_histogram(Span::kLockedRead).count(), 0u);
 }
 
+TEST(LatencyRecorderTest, SpanSumOverOpsIsPerOpStageTime) {
+  LatencyRecorder recorder(2);
+  recorder.record_span(Span::kClientWait, 10'000);
+  recorder.record_span(Span::kClientWait, 20'000);
+  recorder.record_span(Span::kMissPenalty, 2'000'000);
+  const LatencyHistogram wait = recorder.span_histogram(Span::kClientWait);
+  EXPECT_EQ(wait.sum_ns(), 30'000u);
+  EXPECT_DOUBLE_EQ(metrics::per_op_us(wait.sum_ns(), wait.count()), 15.0);
+  const LatencyHistogram miss = recorder.span_histogram(Span::kMissPenalty);
+  EXPECT_DOUBLE_EQ(metrics::per_op_us(miss.sum_ns(), 4), 500.0);
+  EXPECT_DOUBLE_EQ(metrics::per_op_us(123, 0), 0.0);
+  // Every span has its own `stats latency` row name.
+  for (std::size_t i = 0; i < metrics::kSpanCount; ++i) {
+    EXPECT_NE(to_string(static_cast<Span>(i)), "other") << i;
+  }
+}
+
 TEST(LatencyRecorderTest, ResetClearsEverySlot) {
   LatencyRecorder recorder(3);
   for (int i = 0; i < 100; ++i) {

@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
-
-#include "common/stage.hpp"
 
 namespace hykv {
 namespace {
@@ -48,46 +45,6 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::string> r(std::string(1000, 'x'));
   const std::string moved = std::move(r).value();
   EXPECT_EQ(moved.size(), 1000u);
-}
-
-TEST(StageTest, NamesAndBreakdown) {
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    EXPECT_NE(to_string(static_cast<Stage>(i)), "?");
-  }
-  StageBreakdown b;
-  b.add(Stage::kClientWait, std::chrono::microseconds(10));
-  b.add(Stage::kClientWait, std::chrono::microseconds(20));
-  b.add_ops(2);
-  EXPECT_EQ(b.total_ns(Stage::kClientWait), 30000u);
-  EXPECT_DOUBLE_EQ(b.per_op_us(Stage::kClientWait), 15.0);
-  EXPECT_DOUBLE_EQ(b.per_op_us(Stage::kMissPenalty), 0.0);
-
-  StageBreakdown other;
-  other.add(Stage::kMissPenalty, std::chrono::milliseconds(2));
-  other.add_ops(2);
-  b.merge(other);
-  EXPECT_EQ(b.ops(), 4u);
-  EXPECT_DOUBLE_EQ(b.per_op_us(Stage::kMissPenalty), 500.0);
-
-  b.reset();
-  EXPECT_EQ(b.ops(), 0u);
-  EXPECT_EQ(b.total_ns(Stage::kClientWait), 0u);
-}
-
-TEST(StageTest, StageTimerAttributesElapsed) {
-  StageBreakdown b;
-  {
-    StageTimer timer(b, Stage::kServerResponse);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  b.add_ops();
-  EXPECT_GE(b.total_ns(Stage::kServerResponse), 1000000u);
-}
-
-TEST(StageTest, NegativeDurationClamped) {
-  StageBreakdown b;
-  b.add(Stage::kCacheUpdate, std::chrono::nanoseconds(-5));
-  EXPECT_EQ(b.total_ns(Stage::kCacheUpdate), 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <thread>
+#include "bench_util.hpp"
 #include "core/design.hpp"
 
 namespace hykv::core {
@@ -69,12 +70,12 @@ TEST_P(TestBedAllDesigns, SmokeSetGet) {
   ASSERT_EQ(client->get("smoke-key", out), StatusCode::kOk);
   EXPECT_EQ(out, value);
 
-  // The server merges an op's stage times *after* sending the response, so
-  // give the last merge a moment to land.
-  for (int i = 0; i < 200 && bed.server_breakdown().ops() < 2; ++i) {
+  // The server records an op's latency *after* sending the response, so
+  // give the last record a moment to land.
+  for (int i = 0; i < 200 && bed.server_ops_handled() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(bed.server_breakdown().ops(), 2u);  // one set + one get handled
+  EXPECT_EQ(bed.server_ops_handled(), 2u);  // one set + one get handled
   EXPECT_EQ(bed.store_stats().sets, 1u);
 }
 
@@ -113,16 +114,41 @@ TEST(TestBedTest, ResetMetricsClearsServerSide) {
   TestBed bed(cfg);
   auto client = bed.make_client("c");
   ASSERT_EQ(client->set("k", make_value(1, 128)), StatusCode::kOk);
-  // The worker records its stage counters *after* sending the response (the
-  // kServerResponse stage must cover the send), so the client can observe
-  // completion a beat before the counters land -- poll briefly.
-  for (int i = 0; i < 1000 && bed.server_breakdown().ops() == 0; ++i) {
+  // The worker records the op's latency *after* sending the response (the
+  // response span must cover the send), so the client can observe
+  // completion a beat before the record lands -- poll briefly.
+  for (int i = 0; i < 1000 && bed.server_ops_handled() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  EXPECT_GT(bed.server_breakdown().ops(), 0u);
+  EXPECT_GT(bed.server_ops_handled(), 0u);
   bed.reset_metrics();
-  EXPECT_EQ(bed.server_breakdown().ops(), 0u);
+  EXPECT_EQ(bed.server_ops_handled(), 0u);
   EXPECT_EQ(bed.server(0).counters().requests, 0u);
+}
+
+// Fig. 2/6 derive the paper's six stages from span sums (bench_util.hpp):
+// server spans per request handled, client spans per wait. A hybrid design
+// that overflows RAM must show slab allocation (flushes) and cache
+// check+load (SSD reads); an in-memory design that overflows must show the
+// backend miss penalty on the client.
+TEST(TestBedTest, BenchStageDerivationSeesFlushLoadAndMissPenalty) {
+  bench::Scenario s;
+  s.data_ratio = 1.5;
+  s.total_memory = 8 << 20;
+  s.value_bytes = 8 << 10;
+  s.operations = 200;
+  s.pattern = workload::Pattern::kUniform;
+
+  s.design = Design::kHRdmaDef;
+  const bench::Outcome def = bench::run_scenario(s);
+  EXPECT_GT(def.store.flushes, 0u);
+  EXPECT_GT(def.server_us(metrics::Span::kSlabAllocation), 0.0);
+  EXPECT_GT(def.server_us(metrics::Span::kCacheCheckLoad), 0.0);
+
+  s.design = Design::kRdmaMem;
+  const bench::Outcome mem = bench::run_scenario(s);
+  EXPECT_GT(mem.backend_fetches, 0u);
+  EXPECT_GT(mem.client_us(metrics::Span::kMissPenalty), 0.0);
 }
 
 }  // namespace

@@ -343,7 +343,7 @@ TEST_F(OverloadTest, AsyncAdmissionShedsBurstWithBusy) {
   EXPECT_EQ(client->ring().dead_count(), 0u);
 
   // The stats wire exposes the shed count.
-  const auto stats = client->stats_text(0);
+  const auto stats = client->stats_text(0, client::StatsKind::kCounters);
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats.value().find("shed "), std::string::npos);
 }

@@ -17,6 +17,7 @@
 #include "common/random.hpp"
 #include "common/sim_time.hpp"
 #include "core/testbed.hpp"
+#include "server/protocol.hpp"
 #include "server/server.hpp"
 
 namespace hykv {
@@ -233,7 +234,7 @@ TEST_F(ServerStatsE2eTest, TouchIsCountedAndCountersBalance) {
   EXPECT_EQ(counters.requests, counters.ops_sum());
 
   // The stats text the wire serves reflects the same counters.
-  const auto stats = client->stats_text(0);
+  const auto stats = client->stats_text(0, client::StatsKind::kCounters);
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats.value().find("touches 2"), std::string::npos) << stats.value();
 
@@ -303,7 +304,7 @@ TEST_F(ServerStatsE2eTest, StatsLatencyRoundTripsAndBalancesAgainstCounters) {
   ASSERT_EQ(client->del(make_key(0)), StatusCode::kOk);
   ASSERT_EQ(client->touch(make_key(1), 60), StatusCode::kOk);
 
-  const auto text = client->stats_text(0, "latency");
+  const auto text = client->stats_text(0, client::StatsKind::kLatency);
   ASSERT_TRUE(text.ok()) << to_string(text.status());
   const auto stats = parse_stats(text.value());
 
@@ -380,7 +381,7 @@ TEST_F(ServerStatsE2eTest, LegacyStatsBytesIdenticalWithRecordingOnAndOff) {
     EXPECT_EQ(client->get("k", out), StatusCode::kOk);
     EXPECT_EQ(client->touch("k", 60), StatusCode::kOk);
     EXPECT_EQ(client->del("k"), StatusCode::kOk);
-    auto text = client->stats_text(0);
+    auto text = client->stats_text(0, client::StatsKind::kCounters);
     EXPECT_TRUE(text.ok());
     return text.ok() ? text.value() : std::string{};
   };
@@ -397,7 +398,7 @@ TEST_F(ServerStatsE2eTest, LatencyQueryReportsRecordingOffWhenDisabled) {
   cfg.server_record_latency = false;
   TestBed bed(cfg);
   auto client = bed.make_client("c");
-  const auto text = client->stats_text(0, "latency");
+  const auto text = client->stats_text(0, client::StatsKind::kLatency);
   ASSERT_TRUE(text.ok());
   EXPECT_EQ(text.value(), "latency_recording 0\n");
 }
@@ -418,7 +419,7 @@ TEST_F(ServerStatsE2eTest, TraceSubcommandReturnsSampledTimelines) {
     ASSERT_EQ(client->get(make_key(i), out), StatusCode::kOk);
   }
 
-  const auto text = client->stats_text(0, "trace");
+  const auto text = client->stats_text(0, client::StatsKind::kTrace);
   ASSERT_TRUE(text.ok());
   const std::string& json = text.value();
   EXPECT_NE(json.find("\"sample_shift\":1"), std::string::npos) << json;
@@ -437,7 +438,7 @@ TEST_F(ServerStatsE2eTest, TraceSubcommandReportsEmptyWhenDisabled) {
   cfg.total_server_memory = 8 << 20;
   TestBed bed(cfg);  // trace_sample_shift defaults to 0 (off)
   auto client = bed.make_client("c");
-  const auto text = client->stats_text(0, "trace");
+  const auto text = client->stats_text(0, client::StatsKind::kTrace);
   ASSERT_TRUE(text.ok());
   EXPECT_EQ(text.value(), "{\"sample_shift\":0,\"traces\":[]}\n");
 }
@@ -447,9 +448,17 @@ TEST_F(ServerStatsE2eTest, UnknownStatsSubcommandIsRejectedButCounted) {
   cfg.design = Design::kRdmaMem;
   cfg.total_server_memory = 8 << 20;
   TestBed bed(cfg);
-  auto client = bed.make_client("c");
-  const auto text = client->stats_text(0, "nonsense");
-  EXPECT_EQ(text.status(), StatusCode::kInvalidArgument);
+  // StatsKind cannot name an unknown subcommand, so a raw endpoint sends
+  // the frame the way any other peer could.
+  auto raw = bed.fabric().create_endpoint("raw");
+  const std::string what = "nonsense";
+  raw->send(bed.server(0).endpoint_id(), server::kOpStats, 1,
+            std::vector<char>(what.begin(), what.end()));
+  const auto resp = raw->recv();
+  ASSERT_TRUE(resp.ok());
+  const auto decoded = server::decode_response(resp.value().payload);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->status, StatusCode::kInvalidArgument);
   // Still an admin op: requests == ops_sum() must keep holding.
   const auto counters = bed.server(0).counters();
   EXPECT_EQ(counters.admin, 1u);

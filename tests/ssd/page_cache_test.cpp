@@ -74,14 +74,15 @@ TEST_F(PageCacheTest, ThrottleEngagesAboveHighWatermark) {
   cfg.dirty_high_watermark = 64 << 10;
   cfg.dirty_low_watermark = 32 << 10;
   PageCache cache(dev, cfg);
-  // Push several writes well past the watermark; at least one must block on
-  // write-back.
-  for (int i = 0; i < 8; ++i) {
-    const auto id = dev.allocate(64 << 10).value();
-    ASSERT_EQ(cache.write(id, 0, make_value(static_cast<std::uint64_t>(i), 64 << 10)),
-              StatusCode::kOk);
-  }
+  // One write twice the high watermark crosses it on its own: write() adds
+  // the bytes to the dirty count and checks the watermark under the same
+  // lock, so the flusher cannot drain them first and the writer must block
+  // on write-back until the low watermark.
+  const auto payload = make_value(1, 128 << 10);
+  const auto id = dev.allocate(payload.size()).value();
+  ASSERT_EQ(cache.write(id, 0, payload), StatusCode::kOk);
   EXPECT_GT(cache.stats().throttled_ns, 0u);
+  EXPECT_LE(cache.dirty_bytes(), cfg.dirty_low_watermark);
 }
 
 TEST_F(PageCacheTest, CachedWriteIsFasterThanDirect) {

@@ -243,32 +243,34 @@ TEST_F(HybridManagerTest, ClearEmptiesBothTiers) {
   EXPECT_TRUE(get_matches(m, 7, 30 << 10));
 }
 
-TEST_F(HybridManagerTest, StageBreakdownAttributesFlushToSlabAllocation) {
+TEST_F(HybridManagerTest, StageSpansAttributeFlushToSlabAllocation) {
   sim::set_time_scale(0.05);
   ssd::StorageStack storage(SsdProfile::sata(), test_cache());
+  metrics::LatencyRecorder recorder(1);
   ManagerConfig cfg = base_config(StorageMode::kHybrid);
   cfg.io_policy = IoPolicy::kDirectAll;
+  cfg.latency = &recorder;
   HybridSlabManager m(cfg, &storage);
-  StageBreakdown stages;
+  const auto span_ns = [&recorder](metrics::Span span) {
+    return recorder.span_histogram(span).sum_ns();
+  };
   for (std::uint64_t i = 0; i < 120; ++i) {
     ASSERT_EQ(m.set(make_key(i), make_value(i, 30 << 10),
-                    static_cast<std::uint32_t>(i), 0, &stages),
+                    static_cast<std::uint32_t>(i), 0),
               StatusCode::kOk);
-    stages.add_ops();
   }
-  // Flush I/O dominates: slab-allocation stage must dwarf cache-update.
-  EXPECT_GT(stages.total_ns(Stage::kSlabAllocation),
-            stages.total_ns(Stage::kCacheUpdate) * 5);
+  // Flush I/O dominates: slab-allocation time must dwarf cache-update.
+  EXPECT_GT(span_ns(metrics::Span::kSlabAllocation),
+            span_ns(metrics::Span::kCacheUpdate) * 5);
 
-  StageBreakdown get_stages;
+  recorder.reset();
   std::vector<char> out;
   std::uint32_t flags;
   // Coldest keys are on SSD: the load lands in CacheCheck+Load.
-  ASSERT_EQ(m.get(make_key(0), out, flags, &get_stages), StatusCode::kOk);
-  get_stages.add_ops();
+  ASSERT_EQ(m.get(make_key(0), out, flags), StatusCode::kOk);
   // SATA read of ~30KB is ~168us modelled, ~8.4us at scale 0.05; well above
   // the sub-microsecond cost of a RAM lookup.
-  EXPECT_GT(get_stages.total_ns(Stage::kCacheCheckLoad), 5000u);
+  EXPECT_GT(span_ns(metrics::Span::kCacheCheckLoad), 5000u);
 }
 
 TEST_F(HybridManagerTest, RandomOpsMatchModelHybrid) {

@@ -102,7 +102,7 @@ TEST(ShardedManagerTest, OpsMatchSingleManagerSemantics) {
   std::vector<char> out;
   std::uint32_t flags = 0;
   std::uint64_t cas = 0;
-  ASSERT_EQ(m.gets(key, out, flags, cas, nullptr), StatusCode::kOk);
+  ASSERT_EQ(m.gets(key, out, flags, cas), StatusCode::kOk);
   EXPECT_EQ(flags, 7u);
   EXPECT_NE(cas, 0u);
   EXPECT_EQ(m.cas(key, make_value(3, 64), 0, 0, cas), StatusCode::kOk);
@@ -256,7 +256,7 @@ TEST(ShardedManagerStress, ConcurrentMixedOpsKeepInvariants) {
       } else {  // cas on a shared key: version races are allowed, tears not
         const std::uint64_t k = x % kSharedKeys;
         std::uint64_t cas = 0;
-        const auto code = m.gets(shared_key(k), out, flags, cas, nullptr);
+        const auto code = m.gets(shared_key(k), out, flags, cas);
         ++gets;  // gets() counts one lookup either way
         if (code == StatusCode::kOk) {
           const auto stored =
