@@ -14,6 +14,16 @@ namespace hykv::client {
 
 using server::Opcode;
 
+namespace {
+/// Exponential backoff between retries of a blocking op: the first wait,
+/// doubled up to the cap. Backoff never extends past the op deadline.
+constexpr sim::Nanos kRetryBackoff = sim::ms(1);
+constexpr sim::Nanos kRetryBackoffMax = sim::ms(8);
+/// Byte bound on one batch frame's accumulated key+value payload: the TX
+/// engine closes a frame early when the next op would exceed it.
+constexpr std::size_t kBatchMaxBytes = std::size_t{256} << 10;
+}  // namespace
+
 Client::Client(net::Fabric& fabric, ClientConfig config, BackendDb* backend)
     : fabric_(fabric),
       config_(std::move(config)),
@@ -70,7 +80,7 @@ void Client::tx_main() {
   // span is the caller's *destination* buffer (kept for engine-side
   // registration modelling), not request payload -- only the key travels in
   // the frame, so counting the dest would veto coalescing for any Get whose
-  // buffer exceeds batch_max_bytes.
+  // buffer exceeds kBatchMaxBytes.
   const auto wire_payload_bytes = [](const TxJob& job) {
     if (job.opcode == Opcode::kOpGet || job.opcode == Opcode::kOpGets) {
       return job.key.size();
@@ -79,7 +89,7 @@ void Client::tx_main() {
   };
   // Doorbell batching (DESIGN.md §12): after the blocking pop, the engine
   // opportunistically drains whatever else is already queued and coalesces
-  // consecutive same-server jobs -- up to batch_max_ops / batch_max_bytes --
+  // consecutive same-server jobs -- up to batch_max_ops / kBatchMaxBytes --
   // into one kOpBatch frame. A job bound for a *different* server closes the
   // current run and carries over as the seed of the next one, preserving
   // per-server FIFO order. With batch_max_ops <= 1 (the default) every run
@@ -103,7 +113,7 @@ void Client::tx_main() {
         break;
       }
       const std::size_t next_bytes = wire_payload_bytes(*next);
-      if (run_bytes + next_bytes > config_.batch_max_bytes) {
+      if (run_bytes + next_bytes > kBatchMaxBytes) {
         carry = std::move(next);
         break;
       }
@@ -240,11 +250,8 @@ void Client::send_batch(const std::vector<TxJob>& run) {
   // Count before posting: once the frame is on the wire its ops can complete
   // and a caller may read counters() before this thread runs again, so
   // counting after the send would under-report against the server's view.
-  {
-    const MutexLock lock(metrics_mu_);
-    ++counters_.batches_sent;
-    counters_.batched_ops += run.size();
-  }
+  counters_.add(&ClientCounters::batches_sent);
+  counters_.add(&ClientCounters::batched_ops, run.size());
   // The outer wr_id mirrors the first sub-op so even a reply to a frame the
   // server could not decode correlates to a live pending entry.
   endpoint_->send(run.front().server, Opcode::kOpBatch, run.front().wr_id,
@@ -313,18 +320,14 @@ void Client::complete_one(std::uint64_t wr_id,
     }
   }
   if (pend.is_get) {
-    const MutexLock lock(metrics_mu_);
     if (ok(status)) {
-      ++counters_.hits;
+      counters_.add(&ClientCounters::hits);
     } else if (status == StatusCode::kNotFound) {
-      ++counters_.misses;
+      counters_.add(&ClientCounters::misses);
     }
   }
   if (pend.slot >= 0) free_slots_.push(pend.slot);
-  if (status == StatusCode::kBusy || config_.retry_budget != 0) {
-    // Gated so the default happy path never takes metrics_mu_ here.
-    note_response(status);
-  }
+  note_response(status);
   // Any response proves the server is alive: clear its failure streak
   // (and readmit it if a probe just succeeded). A kBusy response counts
   // too -- a busy server is alive, not dead.
@@ -377,8 +380,7 @@ StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
   if (!ring_.accepting(job.server)) {
     // Target is ejected and not yet due for a probe: fail fast instead of
     // letting the request burn its whole deadline against a dead server.
-    const MutexLock lock(metrics_mu_);
-    ++counters_.server_down;
+    counters_.add(&ClientCounters::server_down);
     return StatusCode::kServerDown;
   }
   std::uint64_t wr_id = 0;
@@ -405,8 +407,7 @@ StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
   if (window_full) {
     // Fail fast at the source: the caller learns immediately that this
     // server's window is saturated instead of queueing yet more work.
-    const MutexLock lock(metrics_mu_);
-    ++counters_.busy_fail_fast;
+    counters_.add(&ClientCounters::busy_fail_fast);
     return StatusCode::kBusy;
   }
   if (config_.propagate_deadline && config_.op_deadline.count() > 0) {
@@ -441,16 +442,11 @@ StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
   return StatusCode::kOk;
 }
 
-void Client::count_nonblocking_issue() {
-  const MutexLock lock(metrics_mu_);
-  ++counters_.nonblocking_issued;
-}
-
 StatusCode Client::iset(std::string_view key, std::span<const char> value,
                         std::uint32_t flags, std::int64_t expiration,
                         Request& req) {
   if (key.empty()) return StatusCode::kInvalidArgument;
-  count_nonblocking_issue();
+  counters_.add(&ClientCounters::nonblocking_issued);
   TxJob job;
   job.opcode = Opcode::kOpSet;
   job.server = ring_.select(key);
@@ -505,7 +501,7 @@ StatusCode Client::bset(std::string_view key, std::span<const char> value,
                         std::uint32_t flags, std::int64_t expiration,
                         Request& req) {
   if (key.empty()) return StatusCode::kInvalidArgument;
-  count_nonblocking_issue();
+  counters_.add(&ClientCounters::nonblocking_issued);
   return start_set(key, value, flags, expiration, req);
 }
 
@@ -522,13 +518,13 @@ StatusCode Client::start_get(std::string_view key, std::span<char> dest,
 
 StatusCode Client::iget(std::string_view key, std::span<char> dest, Request& req) {
   if (key.empty()) return StatusCode::kInvalidArgument;
-  count_nonblocking_issue();
+  counters_.add(&ClientCounters::nonblocking_issued);
   return start_get(key, dest, req, Post::kQueued);
 }
 
 StatusCode Client::bget(std::string_view key, std::span<char> dest, Request& req) {
   if (key.empty()) return StatusCode::kInvalidArgument;
-  count_nonblocking_issue();
+  counters_.add(&ClientCounters::nonblocking_issued);
   const StatusCode code = start_get(key, dest, req);
   if (!ok(code)) return code;
   // Key buffer reusable once the header has left the engine.
@@ -556,7 +552,7 @@ StatusCode Client::run_attempts(
   const unsigned attempts_max =
       deadline_on && idempotent ? config_.max_retries + 1 : 1;
   const auto overall = Clock::now() + config_.op_deadline;
-  sim::Nanos backoff = config_.retry_backoff;
+  sim::Nanos backoff = kRetryBackoff;
   StatusCode last = StatusCode::kTimedOut;
   net::EndpointId last_server = net::kInvalidEndpoint;
 
@@ -566,8 +562,7 @@ StatusCode Client::run_attempts(
       // bucket runs dry the last status stands -- under saturation the
       // client converges instead of amplifying load into a retry storm.
       if (!try_spend_retry_token()) break;
-      const MutexLock lock(metrics_mu_);
-      ++counters_.retries;
+      counters_.add(&ClientCounters::retries);
     }
     const StatusCode issued = issue_attempt(req);
     last_server = req.server_;
@@ -601,7 +596,7 @@ StatusCode Client::run_attempts(
       if (now >= overall) break;
       const auto nap = std::min<Clock::duration>(backoff, overall - now);
       if (nap.count() > 0) std::this_thread::sleep_for(nap);
-      backoff = std::min(backoff * 2, config_.retry_backoff_max);
+      backoff = std::min(backoff * 2, kRetryBackoffMax);
     }
   }
   if (last == StatusCode::kTimedOut &&
@@ -620,10 +615,7 @@ StatusCode Client::set(std::string_view key, std::span<const char> value,
       req,
       [&](Request& r) { return start_set(key, value, flags, expiration, r); },
       /*idempotent=*/true);
-  {
-    const MutexLock lock(metrics_mu_);
-    ++counters_.sets;
-  }
+  counters_.add(&ClientCounters::sets);
   return code;
 }
 
@@ -634,10 +626,7 @@ StatusCode Client::get(std::string_view key, std::vector<char>& out,
   StatusCode code = run_attempts(
       req, [&](Request& r) { return start_get(key, scratch_, r); },
       /*idempotent=*/true);
-  {
-    const MutexLock lock(metrics_mu_);
-    ++counters_.gets;
-  }
+  counters_.add(&ClientCounters::gets);
   if (ok(code)) {
     out.assign(scratch_.begin(),
                scratch_.begin() + static_cast<std::ptrdiff_t>(req.value_length()));
@@ -651,10 +640,7 @@ StatusCode Client::get(std::string_view key, std::vector<char>& out,
     auto value = backend_->fetch(key);
     metrics::record_since(latency_.get(), metrics::Span::kMissPenalty,
                           miss_start);
-    {
-      const MutexLock lock(metrics_mu_);
-      ++counters_.backend_fetches;
-    }
+    counters_.add(&ClientCounters::backend_fetches);
     if (!value.has_value()) return StatusCode::kNotFound;
     out = std::move(*value);
     if (flags != nullptr) *flags = 0;
@@ -679,10 +665,7 @@ StatusCode Client::del(std::string_view key) {
         return issue(std::move(job), r, -1, /*is_get=*/false, {});
       },
       /*idempotent=*/true);
-  {
-    const MutexLock lock(metrics_mu_);
-    ++counters_.deletes;
-  }
+  counters_.add(&ClientCounters::deletes);
   return code;
 }
 
@@ -976,10 +959,7 @@ StatusCode Client::cancel(Request& req) {
     // A true cancellation is a strike against the target server: enough
     // consecutive ones eject it from the ring (failover).
     ring_.record_failure(server);
-    {
-      const MutexLock lock(metrics_mu_);
-      ++counters_.timeouts;
-    }
+    counters_.add(&ClientCounters::timeouts);
     signal_completion(req, StatusCode::kTimedOut, 0, 0);
     return StatusCode::kTimedOut;
   }
@@ -1001,32 +981,33 @@ StatusCode Client::wait_for(Request& req, sim::Nanos timeout) {
   return cancel(req);
 }
 
-ClientCounters Client::counters() const {
-  const MutexLock lock(metrics_mu_);
-  return counters_;
-}
+ClientCounters Client::counters() const { return counters_.snapshot(); }
 
 bool Client::try_spend_retry_token() {
   if (config_.retry_budget == 0) return true;  // unlimited
-  const MutexLock lock(metrics_mu_);
-  if (retry_tokens_ == 0) {
-    ++counters_.retry_budget_exhausted;
-    return false;
-  }
-  --retry_tokens_;
+  std::uint64_t tokens = retry_tokens_.load(std::memory_order_relaxed);
+  do {
+    if (tokens == 0) {
+      counters_.add(&ClientCounters::retry_budget_exhausted);
+      return false;
+    }
+  } while (!retry_tokens_.compare_exchange_weak(tokens, tokens - 1,
+                                                std::memory_order_relaxed));
   return true;
 }
 
 void Client::note_response(StatusCode status) {
-  const MutexLock lock(metrics_mu_);
   if (status == StatusCode::kBusy) {
-    ++counters_.busy;
+    counters_.add(&ClientCounters::busy);
     return;
   }
   // A completed (non-busy) round trip refunds one retry token, capped at the
   // configured budget: a healthy cluster keeps its full retry allowance.
-  if (config_.retry_budget != 0 && retry_tokens_ < config_.retry_budget) {
-    ++retry_tokens_;
+  if (config_.retry_budget == 0) return;
+  std::uint64_t tokens = retry_tokens_.load(std::memory_order_relaxed);
+  while (tokens < config_.retry_budget &&
+         !retry_tokens_.compare_exchange_weak(tokens, tokens + 1,
+                                              std::memory_order_relaxed)) {
   }
 }
 
@@ -1048,11 +1029,8 @@ LatencyHistogram Client::span_latency(metrics::Span span) const {
 }
 
 void Client::reset_metrics() {
-  {
-    const MutexLock lock(metrics_mu_);
-    counters_ = ClientCounters{};
-    retry_tokens_ = config_.retry_budget;
-  }
+  counters_.reset();
+  retry_tokens_.store(config_.retry_budget, std::memory_order_relaxed);
   if (latency_ != nullptr) latency_->reset();
 }
 

@@ -49,6 +49,7 @@
 #include "client/backend_db.hpp"
 #include "client/request.hpp"
 #include "client/ring.hpp"
+#include "common/counters.hpp"
 #include "common/metrics.hpp"
 #include "common/mutex.hpp"
 #include "common/queue.hpp"
@@ -76,10 +77,6 @@ struct ClientConfig {
   /// timeout. Non-idempotent ops (incr, append, cas, ...) never retry --
   /// the first attempt may have been applied.
   unsigned max_retries = 2;
-  /// Exponential backoff between retries: first wait, then doubled up to
-  /// the cap. Backoff never extends past the op deadline.
-  sim::Nanos retry_backoff{sim::ms(1)};
-  sim::Nanos retry_backoff_max{sim::ms(8)};
   /// Server ejection/readmission thresholds for the ring dead-set.
   FailoverPolicy failover{};
 
@@ -112,9 +109,6 @@ struct ClientConfig {
   /// byte-identical to the unbatched protocol. A run of length 1 is always
   /// sent as a plain frame, never wrapped.
   std::size_t batch_max_ops = 1;
-  /// Byte bound on one batch frame's accumulated key+value payload; the
-  /// engine closes the frame early when the next op would exceed it.
-  std::size_t batch_max_bytes = std::size_t{256} << 10;
 
   // ---- Observability (DESIGN.md §10) ----
   /// Per-op-class issue->complete latency histograms (op_latency()): the
@@ -126,25 +120,29 @@ struct ClientConfig {
   bool record_latency = true;
 };
 
+/// Client-side op counters. `nonblocking_issued` counts the non-blocking API
+/// calls the application made itself: iset, iget, bset and bget with a
+/// non-empty key. The blocking ops and mget that are built on the same
+/// machinery are not counted.
+#define HYKV_CLIENT_COUNTER_FIELDS(X)                                       \
+  X(std::uint64_t, sets)                                                    \
+  X(std::uint64_t, gets)                                                    \
+  X(std::uint64_t, deletes)                                                 \
+  X(std::uint64_t, hits)                                                    \
+  X(std::uint64_t, misses)                                                  \
+  X(std::uint64_t, backend_fetches)                                         \
+  X(std::uint64_t, nonblocking_issued)                                      \
+  X(std::uint64_t, timeouts) /* requests cancelled on deadline */           \
+  X(std::uint64_t, retries) /* re-issued idempotent attempts */             \
+  X(std::uint64_t, server_down) /* issues refused: target ejected */        \
+  X(std::uint64_t, busy) /* kBusy responses (server shed/expired) */        \
+  X(std::uint64_t, busy_fail_fast) /* issues refused: local window full */  \
+  X(std::uint64_t, retry_budget_exhausted) /* retries skipped: no tokens */ \
+  X(std::uint64_t, batches_sent) /* kOpBatch frames posted by the engine */ \
+  X(std::uint64_t, batched_ops) /* ops that rode inside those frames */
+
 struct ClientCounters {
-  std::uint64_t sets = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t deletes = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t backend_fetches = 0;
-  /// Non-blocking API calls the application made itself: iset, iget, bset
-  /// and bget with a non-empty key. The blocking ops and mget that are
-  /// built on the same machinery are not counted.
-  std::uint64_t nonblocking_issued = 0;
-  std::uint64_t timeouts = 0;       ///< Requests cancelled on deadline.
-  std::uint64_t retries = 0;        ///< Re-issued idempotent attempts.
-  std::uint64_t server_down = 0;    ///< Issues refused: target ejected.
-  std::uint64_t busy = 0;           ///< kBusy responses (server shed/expired).
-  std::uint64_t busy_fail_fast = 0; ///< Issues refused: local window full.
-  std::uint64_t retry_budget_exhausted = 0;  ///< Retries skipped: no tokens.
-  std::uint64_t batches_sent = 0;   ///< kOpBatch frames posted by the engine.
-  std::uint64_t batched_ops = 0;    ///< Ops that rode inside those frames.
+  HYKV_COUNTER_FIELDS(ClientCounters, HYKV_CLIENT_COUNTER_FIELDS)
 
   /// Average ops per batch frame (the batch-fill ratio); 0 when no frame
   /// has been sent. Single-op sends bypass the batch path entirely, so this
@@ -382,8 +380,6 @@ class Client {
   /// Shared body of iget, bget, get and mget. Key must be non-empty.
   StatusCode start_get(std::string_view key, std::span<char> dest,
                        Request& req, Post post = Post::kInlineWhenIdle);
-  /// Counts one application iset/iget/bset/bget call.
-  void count_nonblocking_issue();
   /// Shared body of add/replace/append/prepend (non-idempotent stores).
   StatusCode store_op(std::uint16_t opcode, std::string_view key,
                       std::span<const char> value, std::uint32_t flags,
@@ -445,16 +441,17 @@ class Client {
   std::uint64_t wr_id_seq_ GUARDED_BY(pending_mu_) = 1;
   bool closed_ GUARDED_BY(pending_mu_) = false;
 
-  mutable Mutex metrics_mu_;
-  ClientCounters counters_ GUARDED_BY(metrics_mu_);
+  /// Written by the application, TX and RX threads alike; no lock.
+  metrics::CounterSlot<ClientCounters> counters_;
   /// Issue->complete histograms and client spans (null when record_latency
   /// is off). Written by whichever thread completes a request (rx, cancel,
   /// shutdown) or waits on one -- recorder slots are atomic, so no lock is
   /// involved.
   std::unique_ptr<metrics::LatencyRecorder> latency_;
   /// Retry-token bucket; starts full at config_.retry_budget and is
-  /// refunded by successful round trips.
-  std::uint64_t retry_tokens_ GUARDED_BY(metrics_mu_) = 0;
+  /// refunded by successful round trips, never above the budget.
+  std::atomic<std::uint64_t> retry_tokens_ ATOMIC_PUBLISHED(
+      CAS spend and capped refund, relaxed){0};
 
   std::vector<char> scratch_;  ///< Blocking-get destination buffer.
 };

@@ -97,7 +97,6 @@ std::unique_ptr<client::Client> TestBed::make_client(std::string name) {
   cfg.propagate_deadline = config_.client_propagate_deadline;
   cfg.record_latency = config_.client_record_latency;
   cfg.batch_max_ops = config_.client_batch_max_ops;
-  cfg.batch_max_bytes = config_.client_batch_max_bytes;
   return std::make_unique<client::Client>(*fabric_, std::move(cfg), &backend_);
 }
 
@@ -125,20 +124,16 @@ std::uint64_t TestBed::server_ops_handled() const {
 
 store::ManagerStats TestBed::store_stats() const {
   store::ManagerStats total;
-  for (const auto& server : servers_) total.merge_from(server->store_stats());
+  for (const auto& server : servers_) {
+    metrics::merge(total, server->store_stats());
+  }
   return total;
 }
 
 ssd::DeviceStats TestBed::device_stats() const {
   ssd::DeviceStats total;
   for (const auto& stack : storage_) {
-    const auto s = stack->device().stats();
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.read_bytes += s.read_bytes;
-    total.written_bytes += s.written_bytes;
-    total.busy_ns += s.busy_ns;
-    total.io_errors += s.io_errors;
+    metrics::merge(total, stack->device().stats());
   }
   return total;
 }

@@ -81,8 +81,6 @@ struct TestBedConfig {
   // ---- Doorbell batching (DESIGN.md §12; default-off) ----
   /// TX coalescing bound handed to every make_client() (<=1 = off).
   std::size_t client_batch_max_ops = 1;
-  /// Byte ceiling for one coalesced frame (keys+values of the run).
-  std::size_t client_batch_max_bytes = std::size_t{256} << 10;
 };
 
 class TestBed {

@@ -81,8 +81,7 @@ SendTicket Endpoint::send(EndpointId dst, std::uint16_t opcode,
       // Partitioned: the work request "completes" locally but nothing
       // reaches the wire (the QP would eventually flush with an error; here
       // the protocol layer sees it as silence -> timeout).
-      const MutexLock lock(mu_);
-      ++stats_.faults_link_down;
+      stats_.add(&EndpointStats::faults_link_down);
       return SendTicket{sim::now()};
     }
     fault = faults->on_message(id_, dst);
@@ -90,13 +89,12 @@ SendTicket Endpoint::send(EndpointId dst, std::uint16_t opcode,
 
   const auto [finish, deliver_at] = fabric_.reserve_path(*this, *target, payload.size());
 
-  {
-    const MutexLock lock(mu_);
-    ++stats_.sends;
-    stats_.sent_bytes += payload.size();
-    if (fault.drop) ++stats_.faults_dropped;
-    if (fault.duplicate) ++stats_.faults_duplicated;
-    if (fault.extra_delay.count() > 0) ++stats_.faults_delayed;
+  stats_.add(&EndpointStats::sends);
+  stats_.add(&EndpointStats::sent_bytes, payload.size());
+  if (fault.drop) stats_.add(&EndpointStats::faults_dropped);
+  if (fault.duplicate) stats_.add(&EndpointStats::faults_duplicated);
+  if (fault.extra_delay.count() > 0) {
+    stats_.add(&EndpointStats::faults_delayed);
   }
 
   if (fault.drop) {
@@ -131,8 +129,7 @@ Result<Message> Endpoint::recv() {
   auto msg = rx_.pop();
   if (!msg.has_value()) return StatusCode::kShutdown;
   sim::wait_until(msg->deliver_at);
-  const MutexLock lock(mu_);
-  ++stats_.recvs;
+  stats_.add(&EndpointStats::recvs);
   return std::move(*msg);
 }
 
@@ -142,8 +139,7 @@ Result<Message> Endpoint::recv_for(sim::Nanos real_timeout) {
     return rx_.closed() ? StatusCode::kShutdown : StatusCode::kTimedOut;
   }
   sim::wait_until(msg->deliver_at);
-  const MutexLock lock(mu_);
-  ++stats_.recvs;
+  stats_.add(&EndpointStats::recvs);
   return std::move(*msg);
 }
 
@@ -153,12 +149,10 @@ MemoryRegion Endpoint::register_memory(char* addr, std::size_t len) {
   {
     const MutexLock lock(mu_);
     auto it = reg_cache_.find(key);
-    if (it != reg_cache_.end()) {
-      ++stats_.registration_hits;
-      cached = it->second;
-    }
+    if (it != reg_cache_.end()) cached = it->second;
   }
   if (cached.has_value()) {
+    stats_.add(&EndpointStats::registration_hits);
     sim::advance(fabric_.profile().registration_cached);
     return *cached;
   }
@@ -171,7 +165,7 @@ MemoryRegion Endpoint::register_memory(char* addr, std::size_t len) {
   region.length = len;
   reg_cache_.emplace(key, region);
   exposed_.emplace(region.rkey, region);
-  ++stats_.registrations;
+  stats_.add(&EndpointStats::registrations);
   return region;
 }
 
@@ -209,8 +203,7 @@ StatusCode Endpoint::rdma_write(const RemoteKey& key, std::size_t offset,
   std::memcpy(dest, data.data(), data.size());
   // One-sided write completion: payload placed, ack returns (propagation).
   sim::wait_until(deliver_at);
-  const MutexLock lock(mu_);
-  ++stats_.one_sided_ops;
+  stats_.add(&EndpointStats::one_sided_ops);
   return StatusCode::kOk;
 }
 
@@ -238,8 +231,7 @@ StatusCode Endpoint::rdma_read(const RemoteKey& key, std::size_t offset,
   (void)finish;
   sim::wait_until(deliver_at + sim::scaled(fabric_.profile().base_latency));
   std::memcpy(out.data(), from, out.size());
-  const MutexLock lock(mu_);
-  ++stats_.one_sided_ops;
+  stats_.add(&EndpointStats::one_sided_ops);
   return StatusCode::kOk;
 }
 
@@ -247,26 +239,19 @@ StatusCode Endpoint::check_one_sided_fault(EndpointId dst) {
   FaultInjector* faults = fabric_.faults();
   if (faults == nullptr) return StatusCode::kOk;
   if (faults->link_down(id_, dst)) {
-    const MutexLock lock(mu_);
-    ++stats_.faults_link_down;
+    stats_.add(&EndpointStats::faults_link_down);
     return StatusCode::kNetworkError;
   }
   if (faults->fail_one_sided(id_, dst)) {
     // The op posts (doorbell paid) but completes in error -- the verbs
     // "completion with error" path.
     sim::advance(fabric_.profile().doorbell);
-    const MutexLock lock(mu_);
-    ++stats_.faults_one_sided;
+    stats_.add(&EndpointStats::faults_one_sided);
     return StatusCode::kNetworkError;
   }
   return StatusCode::kOk;
 }
 
 void Endpoint::close() { rx_.close(); }
-
-EndpointStats Endpoint::stats() const {
-  const MutexLock lock(mu_);
-  return stats_;
-}
 
 }  // namespace hykv::net

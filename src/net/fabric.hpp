@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/mutex.hpp"
 #include "common/profiles.hpp"
 #include "common/thread_annotations.hpp"
@@ -54,19 +55,23 @@ struct MemoryRegion {
   [[nodiscard]] bool valid() const noexcept { return rkey != 0; }
 };
 
+/// Per-endpoint message counters. The injected-fault counters stay zero on
+/// a perfect fabric.
+#define HYKV_ENDPOINT_STATS_FIELDS(X)                                      \
+  X(std::uint64_t, sends)                                                  \
+  X(std::uint64_t, recvs)                                                  \
+  X(std::uint64_t, sent_bytes)                                             \
+  X(std::uint64_t, one_sided_ops)                                          \
+  X(std::uint64_t, registrations) /* cold ibv_reg_mr calls */              \
+  X(std::uint64_t, registration_hits) /* registration-cache hits */        \
+  X(std::uint64_t, faults_dropped) /* messages lost by the injector */     \
+  X(std::uint64_t, faults_duplicated) /* messages delivered twice */       \
+  X(std::uint64_t, faults_delayed) /* messages given extra delay */        \
+  X(std::uint64_t, faults_link_down) /* sends/ops refused: link down */    \
+  X(std::uint64_t, faults_one_sided) /* failed rdma_read/rdma_write ops */
+
 struct EndpointStats {
-  std::uint64_t sends = 0;
-  std::uint64_t recvs = 0;
-  std::uint64_t sent_bytes = 0;
-  std::uint64_t one_sided_ops = 0;
-  std::uint64_t registrations = 0;       ///< Cold ibv_reg_mr calls.
-  std::uint64_t registration_hits = 0;   ///< Registration-cache hits.
-  // Injected-fault counters (all zero on a perfect fabric).
-  std::uint64_t faults_dropped = 0;      ///< Messages lost by the injector.
-  std::uint64_t faults_duplicated = 0;   ///< Messages delivered twice.
-  std::uint64_t faults_delayed = 0;      ///< Messages given extra delay.
-  std::uint64_t faults_link_down = 0;    ///< Sends/ops refused: link down.
-  std::uint64_t faults_one_sided = 0;    ///< Failed rdma_read/rdma_write ops.
+  HYKV_COUNTER_FIELDS(EndpointStats, HYKV_ENDPOINT_STATS_FIELDS)
 };
 
 /// Exact composite registration-cache key. Hashing (addr, len) into a single
@@ -121,21 +126,24 @@ class Endpoint {
 
   void close();
   [[nodiscard]] bool closed() const { return rx_.closed(); }
-  [[nodiscard]] EndpointStats stats() const EXCLUDES(mu_);
+  [[nodiscard]] EndpointStats stats() const { return stats_.snapshot(); }
 
  private:
   friend class Fabric;
 
   /// Injected-failure check shared by the one-sided ops: kOk to proceed.
-  StatusCode check_one_sided_fault(EndpointId dst) EXCLUDES(mu_);
+  StatusCode check_one_sided_fault(EndpointId dst);
 
   Fabric& fabric_;
   EndpointId id_;
   std::string name_;
   BlockingQueue<Message> rx_;
 
-  mutable Mutex mu_;
-  EndpointStats stats_ GUARDED_BY(mu_);
+  /// Counted without a lock: send, recv and recv_for run on different
+  /// threads and only add.
+  metrics::CounterSlot<EndpointStats> stats_;
+
+  Mutex mu_;
   // Registration cache: (addr, len) -> region. Emulates the lazy
   // deregistration caches RDMA middleware uses to amortise ibv_reg_mr.
   std::unordered_map<RegCacheKey, MemoryRegion, RegCacheKeyHash> reg_cache_

@@ -1,5 +1,6 @@
 #include "server/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -18,84 +19,40 @@ void append_stat(std::string& out, std::string_view name, std::uint64_t v) {
   out.push_back('\n');
 }
 
-// The `stats` schema: one row per line, in render order. The single source
-// of truth -- render_stats_text iterates it, stats_field_names() exposes it
-// to tests and the docs-consistency tool, so adding a counter here is the
-// whole change (no magic line counts to chase). Compatibility rule: only
-// ever APPEND rows; existing names and their relative order are frozen.
-struct StatsSnapshot {
-  const ServerCounters& counters;
-  const store::ManagerStats& store;
-  const store::SlabStats& slab;
-  std::size_t item_count;
-  unsigned shards;
+// The `stats` rows that describe the store's shape rather than count.
+#define HYKV_STORE_SHAPE_FIELDS(X)      \
+  X(std::uint64_t, items)               \
+  X(std::uint64_t, shards)              \
+  X(std::uint64_t, slab_pages)          \
+  X(std::uint64_t, slab_reserved_bytes) \
+  X(std::uint64_t, slab_used_chunks)
+
+struct StoreShape {
+  HYKV_COUNTER_FIELDS(StoreShape, HYKV_STORE_SHAPE_FIELDS)
 };
 
-struct StatsField {
-  std::string_view name;
-  std::uint64_t (*value)(const StatsSnapshot&);
-};
+// The `stats` schema: row names in render order. Each row names a
+// ServerCounters, ManagerStats or StoreShape field; where two families share
+// a name (sets, deletes) the row is the server's counter. render_stats_text
+// iterates this table and stats_field_names() exposes it to tests and the
+// docs-consistency tool. Compatibility rule: only ever APPEND rows; existing
+// names and their relative order are frozen.
+constexpr std::string_view kStatsRows[] = {
+    "requests", "sets", "gets", "deletes", "touches", "admin", "malformed",
+    "shed", "expired_on_arrival", "items", "ram_hits", "ssd_hits", "misses",
+    "expired", "optimistic_hits", "optimistic_retries", "locked_fallbacks",
+    "flushes", "flushed_bytes", "promotions", "dropped_evictions",
+    "ssd_live_bytes", "io_errors", "degraded", "degraded_shards", "shards",
+    "slab_pages", "slab_reserved_bytes", "slab_used_chunks", "batches",
+    "batched_ops"};
 
-constexpr StatsField kStatsFields[] = {
-    {"requests", [](const StatsSnapshot& s) { return s.counters.requests; }},
-    {"sets", [](const StatsSnapshot& s) { return s.counters.sets; }},
-    {"gets", [](const StatsSnapshot& s) { return s.counters.gets; }},
-    {"deletes", [](const StatsSnapshot& s) { return s.counters.deletes; }},
-    {"touches", [](const StatsSnapshot& s) { return s.counters.touches; }},
-    {"admin", [](const StatsSnapshot& s) { return s.counters.admin; }},
-    {"malformed", [](const StatsSnapshot& s) { return s.counters.malformed; }},
-    {"shed", [](const StatsSnapshot& s) { return s.counters.shed; }},
-    {"expired_on_arrival",
-     [](const StatsSnapshot& s) { return s.counters.expired_on_arrival; }},
-    {"items",
-     [](const StatsSnapshot& s) {
-       return static_cast<std::uint64_t>(s.item_count);
-     }},
-    {"ram_hits", [](const StatsSnapshot& s) { return s.store.ram_hits; }},
-    {"ssd_hits", [](const StatsSnapshot& s) { return s.store.ssd_hits; }},
-    {"misses", [](const StatsSnapshot& s) { return s.store.misses; }},
-    {"expired", [](const StatsSnapshot& s) { return s.store.expired; }},
-    {"optimistic_hits",
-     [](const StatsSnapshot& s) { return s.store.optimistic_hits; }},
-    {"optimistic_retries",
-     [](const StatsSnapshot& s) { return s.store.optimistic_retries; }},
-    {"locked_fallbacks",
-     [](const StatsSnapshot& s) { return s.store.locked_fallbacks; }},
-    {"flushes", [](const StatsSnapshot& s) { return s.store.flushes; }},
-    {"flushed_bytes",
-     [](const StatsSnapshot& s) { return s.store.flushed_bytes; }},
-    {"promotions", [](const StatsSnapshot& s) { return s.store.promotions; }},
-    {"dropped_evictions",
-     [](const StatsSnapshot& s) { return s.store.dropped_evictions; }},
-    {"ssd_live_bytes",
-     [](const StatsSnapshot& s) { return s.store.ssd_live_bytes; }},
-    {"io_errors", [](const StatsSnapshot& s) { return s.store.io_errors; }},
-    {"degraded",
-     [](const StatsSnapshot& s) {
-       return std::uint64_t{s.store.degraded ? 1u : 0u};
-     }},
-    {"degraded_shards",
-     [](const StatsSnapshot& s) {
-       return static_cast<std::uint64_t>(s.store.degraded_shards);
-     }},
-    {"shards",
-     [](const StatsSnapshot& s) { return static_cast<std::uint64_t>(s.shards); }},
-    {"slab_pages",
-     [](const StatsSnapshot& s) {
-       return static_cast<std::uint64_t>(s.slab.slab_pages);
-     }},
-    {"slab_reserved_bytes",
-     [](const StatsSnapshot& s) {
-       return static_cast<std::uint64_t>(s.slab.reserved_bytes);
-     }},
-    {"slab_used_chunks",
-     [](const StatsSnapshot& s) {
-       return static_cast<std::uint64_t>(s.slab.used_chunks);
-     }},
-    {"batches", [](const StatsSnapshot& s) { return s.counters.batches; }},
-    {"batched_ops",
-     [](const StatsSnapshot& s) { return s.counters.batched_ops; }},
-};
+constexpr bool names_a_field(std::string_view row) {
+  return metrics::has_field<ServerCounters>(row) ||
+         metrics::has_field<store::ManagerStats>(row) ||
+         metrics::has_field<StoreShape>(row);
+}
+static_assert(std::ranges::all_of(kStatsRows, names_a_field),
+              "every `stats` row must name a counter-family field");
 
 /// Per-histogram stats emitted for each op/span histogram, in order.
 constexpr std::string_view kHistogramStats[] = {"count", "mean_ns", "p50_ns",
@@ -118,20 +75,37 @@ std::string render_stats_text(const ServerCounters& counters,
                               const store::ManagerStats& store,
                               const store::SlabStats& slab,
                               std::size_t item_count, unsigned shards) {
-  const StatsSnapshot snapshot{counters, store, slab, item_count, shards};
+  const StoreShape shape{.items = item_count,
+                         .shards = shards,
+                         .slab_pages = slab.slab_pages,
+                         .slab_reserved_bytes = slab.reserved_bytes,
+                         .slab_used_chunks = slab.used_chunks};
+  // Server counters go first, so a row name the store shares resolves to
+  // the server's counter.
+  std::vector<std::pair<std::string_view, std::uint64_t>> values;
+  const auto collect = [&values](const auto& family) {
+    using Family = std::remove_cvref_t<decltype(family)>;
+    Family::for_each_field([&](std::string_view name, auto field) {
+      values.emplace_back(name, static_cast<std::uint64_t>(family.*field));
+    });
+  };
+  collect(counters);
+  collect(store);
+  collect(shape);
   std::string out;
   out.reserve(640);
-  for (const StatsField& field : kStatsFields) {
-    append_stat(out, field.name, field.value(snapshot));
+  for (const std::string_view row : kStatsRows) {
+    // Found: names_a_field() holds for every row (static_assert above).
+    const auto value = std::ranges::find(values, row, [](const auto& entry) {
+      return entry.first;
+    });
+    append_stat(out, row, value->second);
   }
   return out;
 }
 
 std::vector<std::string_view> stats_field_names() {
-  std::vector<std::string_view> names;
-  names.reserve(std::size(kStatsFields));
-  for (const StatsField& field : kStatsFields) names.push_back(field.name);
-  return names;
+  return {std::begin(kStatsRows), std::end(kStatsRows)};
 }
 
 std::string render_latency_text(const metrics::LatencyRecorder& recorder) {
@@ -265,10 +239,10 @@ bool MemcachedServer::admit(const net::Message& request) {
     const auto items = decode_batch(envelope.inner);
     if (items.has_value()) {
       const std::size_t n = items->size();
-      metrics.requests.fetch_add(n, kRelaxed);
-      metrics.shed.fetch_add(n, kRelaxed);
-      metrics.batches.fetch_add(1, kRelaxed);
-      metrics.batched_ops.fetch_add(n, kRelaxed);
+      metrics.add(&ServerCounters::requests, n);
+      metrics.add(&ServerCounters::shed, n);
+      metrics.add(&ServerCounters::batches);
+      metrics.add(&ServerCounters::batched_ops, n);
       std::vector<std::vector<char>> bodies;
       std::vector<BatchResponseItem> responses;
       bodies.reserve(n);
@@ -284,8 +258,8 @@ bool MemcachedServer::admit(const net::Message& request) {
     // Undecodable frame: fall through to the single-request accounting (one
     // malformed-looking arrival, one plain kBusy).
   }
-  metrics.requests.fetch_add(1, kRelaxed);
-  metrics.shed.fetch_add(1, kRelaxed);
+  metrics.add(&ServerCounters::requests);
+  metrics.add(&ServerCounters::shed);
   endpoint_->send(request.src, kOpResponse, request.wr_id,
                   encode_response(StatusCode::kBusy, 0));
   return false;
@@ -313,7 +287,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
   // Malformed requests land in the kOther histogram whatever their opcode
   // claimed (mirrors the `malformed` counter).
   const auto count_malformed = [&metrics, &op_cls] {
-    metrics.malformed.fetch_add(1, kRelaxed);
+    metrics.add(&ServerCounters::malformed);
     op_cls = metrics::Op::kOther;
   };
 
@@ -323,7 +297,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       if (req.has_value()) {
         status = manager_.set(req->key, req->value, req->flags,
                               req->expiration);
-        metrics.sets.fetch_add(1, kRelaxed);
+        metrics.add(&ServerCounters::sets);
       } else {
         count_malformed();
       }
@@ -334,7 +308,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       if (req.has_value()) {
         status = manager_.get(req->key, value, flags);
         has_value = ok(status);
-        metrics.gets.fetch_add(1, kRelaxed);
+        metrics.add(&ServerCounters::gets);
       } else {
         count_malformed();
       }
@@ -344,7 +318,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       const auto req = decode_key_request(body);
       if (req.has_value()) {
         status = manager_.del(req->key);
-        metrics.deletes.fetch_add(1, kRelaxed);
+        metrics.add(&ServerCounters::deletes);
       } else {
         count_malformed();
       }
@@ -372,7 +346,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
             status = manager_.prepend(req->key, req->value);
             break;
         }
-        metrics.sets.fetch_add(1, kRelaxed);
+        metrics.add(&ServerCounters::sets);
       } else {
         count_malformed();
       }
@@ -390,7 +364,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
           value = encode_counter_value(result_v.value());
           has_value = true;
         }
-        metrics.sets.fetch_add(1, kRelaxed);
+        metrics.add(&ServerCounters::sets);
       } else {
         count_malformed();
       }
@@ -400,7 +374,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       const auto req = decode_touch(body);
       if (req.has_value()) {
         status = manager_.touch(req->key, req->expiration);
-        metrics.touches.fetch_add(1, kRelaxed);
+        metrics.add(&ServerCounters::touches);
       } else {
         count_malformed();
       }
@@ -409,7 +383,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
     case kOpFlushAll: {
       manager_.clear();
       status = StatusCode::kOk;
-      metrics.admin.fetch_add(1, kRelaxed);
+      metrics.add(&ServerCounters::admin);
       break;
     }
     case kOpStats: {
@@ -442,7 +416,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       } else {
         status = StatusCode::kInvalidArgument;
       }
-      metrics.admin.fetch_add(1, kRelaxed);
+      metrics.add(&ServerCounters::admin);
       break;
     }
     case kOpGets: {
@@ -457,7 +431,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
           std::memcpy(value.data() + 8, raw.data(), raw.size());
           has_value = true;
         }
-        metrics.gets.fetch_add(1, kRelaxed);
+        metrics.add(&ServerCounters::gets);
       } else {
         count_malformed();
       }
@@ -468,7 +442,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       if (req.has_value()) {
         status = manager_.cas(req->key, req->value, req->flags,
                               req->expiration, req->cas);
-        metrics.sets.fetch_add(1, kRelaxed);
+        metrics.add(&ServerCounters::sets);
       } else {
         count_malformed();
       }
@@ -519,7 +493,7 @@ void MemcachedServer::handle(const net::Message& request,
     return;
   }
 
-  metrics.requests.fetch_add(1, kRelaxed);
+  metrics.add(&ServerCounters::requests);
 
   std::uint64_t trace_seq = 0;
   const bool traced = tracer_ != nullptr && tracer_->sample(trace_seq);
@@ -531,7 +505,7 @@ void MemcachedServer::handle(const net::Message& request,
   // it was about to declare.
   if (envelope.deadline_ns != 0 &&
       Clock::now().time_since_epoch().count() > envelope.deadline_ns) {
-    metrics.expired_on_arrival.fetch_add(1, kRelaxed);
+    metrics.add(&ServerCounters::expired_on_arrival);
     endpoint_->send(request.src, kOpResponse, request.wr_id,
                     encode_response(StatusCode::kBusy, 0));
     return;
@@ -619,8 +593,8 @@ void MemcachedServer::handle_batch(const net::Message& request,
     // sub-op count to charge), answered with a single plain response so the
     // client's first pending op -- the outer wr_id -- fails fast; any other
     // ops the sender meant to pack will cancel at their deadlines.
-    metrics.requests.fetch_add(1, kRelaxed);
-    metrics.malformed.fetch_add(1, kRelaxed);
+    metrics.add(&ServerCounters::requests);
+    metrics.add(&ServerCounters::malformed);
     const auto start = ctx.received_at;
     endpoint_->send(request.src, kOpResponse, request.wr_id,
                     encode_response(StatusCode::kInvalidArgument, 0));
@@ -634,9 +608,9 @@ void MemcachedServer::handle_batch(const net::Message& request,
   // Admission-exact accounting: a frame of n sub-ops is n requests, exactly
   // as if they had arrived individually (requests == ops_sum() invariant).
   const std::size_t n = items->size();
-  metrics.requests.fetch_add(n, kRelaxed);
-  metrics.batches.fetch_add(1, kRelaxed);
-  metrics.batched_ops.fetch_add(n, kRelaxed);
+  metrics.add(&ServerCounters::requests, n);
+  metrics.add(&ServerCounters::batches);
+  metrics.add(&ServerCounters::batched_ops, n);
 
   std::vector<std::vector<char>> bodies;
   std::vector<BatchResponseItem> responses;
@@ -648,7 +622,7 @@ void MemcachedServer::handle_batch(const net::Message& request,
   // no store work.
   if (deadline_ns != 0 &&
       Clock::now().time_since_epoch().count() > deadline_ns) {
-    metrics.expired_on_arrival.fetch_add(n, kRelaxed);
+    metrics.add(&ServerCounters::expired_on_arrival, n);
     for (const BatchItem& item : *items) {
       bodies.push_back(encode_response(StatusCode::kBusy, 0));
       responses.push_back(BatchResponseItem{item.wr_id, bodies.back()});
@@ -712,37 +686,13 @@ std::vector<char> MemcachedServer::render_stats() const {
 }
 
 ServerCounters MemcachedServer::counters() const {
-  ServerCounters c;
-  for (const auto& slot : metrics_) {
-    c.requests += slot.requests.load(kRelaxed);
-    c.sets += slot.sets.load(kRelaxed);
-    c.gets += slot.gets.load(kRelaxed);
-    c.deletes += slot.deletes.load(kRelaxed);
-    c.touches += slot.touches.load(kRelaxed);
-    c.admin += slot.admin.load(kRelaxed);
-    c.malformed += slot.malformed.load(kRelaxed);
-    c.shed += slot.shed.load(kRelaxed);
-    c.expired_on_arrival += slot.expired_on_arrival.load(kRelaxed);
-    c.batches += slot.batches.load(kRelaxed);
-    c.batched_ops += slot.batched_ops.load(kRelaxed);
-  }
-  return c;
+  ServerCounters total;
+  for (const auto& slot : metrics_) metrics::merge(total, slot.snapshot());
+  return total;
 }
 
 void MemcachedServer::reset_metrics() {
-  for (auto& slot : metrics_) {
-    slot.requests.store(0, kRelaxed);
-    slot.sets.store(0, kRelaxed);
-    slot.gets.store(0, kRelaxed);
-    slot.deletes.store(0, kRelaxed);
-    slot.touches.store(0, kRelaxed);
-    slot.admin.store(0, kRelaxed);
-    slot.malformed.store(0, kRelaxed);
-    slot.shed.store(0, kRelaxed);
-    slot.expired_on_arrival.store(0, kRelaxed);
-    slot.batches.store(0, kRelaxed);
-    slot.batched_ops.store(0, kRelaxed);
-  }
+  for (auto& slot : metrics_) slot.reset();
   if (recorder_ != nullptr) recorder_->reset();
   if (tracer_ != nullptr) tracer_->reset();
 }

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/queue.hpp"
@@ -85,24 +86,28 @@ struct ServerConfig {
 /// dropped for arriving past its propagated deadline bumps expired_on_arrival
 /// -- so `requests == ops_sum()` always balances (asserted by the chaos
 /// suite).
-struct ServerCounters {
-  std::uint64_t requests = 0;
-  std::uint64_t sets = 0;     ///< set/add/replace/append/prepend/incr/decr/cas.
-  std::uint64_t gets = 0;     ///< get/gets.
-  std::uint64_t deletes = 0;
-  std::uint64_t touches = 0;
-  std::uint64_t admin = 0;    ///< flush_all + stats.
-  std::uint64_t malformed = 0;
-  std::uint64_t shed = 0;     ///< Rejected kBusy at receipt (admission full).
-  std::uint64_t expired_on_arrival = 0;  ///< Dropped: client deadline passed.
+///
+/// Doorbell batching (DESIGN.md §12): `batches` and `batched_ops` are
+/// informational frame counters, NOT part of ops_sum(). A kOpBatch frame of
+/// n sub-ops bumps `requests` by n and each sub-op lands in its per-op
+/// counter exactly as if sent individually, so requests == ops_sum() still
+/// balances; these two only describe *how* the ops arrived (batched_ops /
+/// batches = achieved server-side fill).
+#define HYKV_SERVER_COUNTER_FIELDS(X)                                        \
+  X(std::uint64_t, requests)                                                 \
+  X(std::uint64_t, sets) /* set/add/replace/append/prepend/incr/decr/cas */  \
+  X(std::uint64_t, gets) /* get/gets */                                      \
+  X(std::uint64_t, deletes)                                                  \
+  X(std::uint64_t, touches)                                                  \
+  X(std::uint64_t, admin) /* flush_all + stats */                            \
+  X(std::uint64_t, malformed)                                                \
+  X(std::uint64_t, shed) /* rejected kBusy at receipt (admission full) */    \
+  X(std::uint64_t, expired_on_arrival) /* dropped: client deadline passed */ \
+  X(std::uint64_t, batches) /* well-formed kOpBatch frames received */       \
+  X(std::uint64_t, batched_ops) /* sub-ops carried by those frames */
 
-  // Doorbell batching (DESIGN.md §12). Informational frame counters, NOT part
-  // of ops_sum(): a kOpBatch frame of n sub-ops bumps `requests` by n and each
-  // sub-op lands in its per-op counter above exactly as if sent individually,
-  // so requests == ops_sum() still balances. These two only describe *how*
-  // the ops arrived (batched_ops / batches = achieved server-side fill).
-  std::uint64_t batches = 0;      ///< Well-formed kOpBatch frames received.
-  std::uint64_t batched_ops = 0;  ///< Sub-ops carried by those frames.
+struct ServerCounters {
+  HYKV_COUNTER_FIELDS(ServerCounters, HYKV_SERVER_COUNTER_FIELDS)
 
   [[nodiscard]] std::uint64_t ops_sum() const noexcept {
     return sets + gets + deletes + touches + admin + malformed + shed +
@@ -173,24 +178,9 @@ class MemcachedServer {
   void reset_metrics();
 
  private:
-  /// One handler thread's metrics slot. The owning thread writes with
-  /// relaxed atomics (uncontended -- one writer per slot); readers merge all
-  /// slots on demand. Cache-line aligned so workers never false-share.
-  struct alignas(64) WorkerMetrics {
-    // All counters ATOMIC_PUBLISHED(single-writer relaxed slot): no lock by
-    // design, see the struct comment above.
-    std::atomic<std::uint64_t> requests ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> sets ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> gets ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> deletes ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> touches ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> admin ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> malformed ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> shed ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> expired_on_arrival ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> batches ATOMIC_PUBLISHED(){0};
-    std::atomic<std::uint64_t> batched_ops ATOMIC_PUBLISHED(){0};
-  };
+  /// One handler thread's counter slot: the owning thread adds, readers
+  /// merge all slots on demand.
+  using WorkerMetrics = metrics::CounterSlot<ServerCounters>;
 
   /// An async-buffered request plus the instant the network thread received
   /// it -- dequeue-minus-receipt is the admission-wait span.

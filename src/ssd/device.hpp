@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/mutex.hpp"
 #include "common/profiles.hpp"
 #include "common/status.hpp"
@@ -38,13 +39,16 @@ struct SsdFaultProfile {
 };
 
 /// Cumulative device counters (for benches and tests).
+#define HYKV_DEVICE_STATS_FIELDS(X)                                     \
+  X(std::uint64_t, reads)                                               \
+  X(std::uint64_t, writes)                                              \
+  X(std::uint64_t, read_bytes)                                          \
+  X(std::uint64_t, written_bytes)                                       \
+  X(std::uint64_t, busy_ns) /* total modelled channel-occupancy time */ \
+  X(std::uint64_t, io_errors) /* injected/forced access failures */
+
 struct DeviceStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t read_bytes = 0;
-  std::uint64_t written_bytes = 0;
-  std::uint64_t busy_ns = 0;  ///< Total modelled channel-occupancy time.
-  std::uint64_t io_errors = 0;  ///< Injected/forced access failures.
+  HYKV_COUNTER_FIELDS(DeviceStats, HYKV_DEVICE_STATS_FIELDS)
 };
 
 class SsdDevice {

@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/epoch.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
@@ -103,50 +104,31 @@ struct ManagerConfig {
   metrics::LatencyRecorder* latency = nullptr;
 };
 
-struct ManagerStats {
-  std::uint64_t sets = 0;
-  std::uint64_t ram_hits = 0;
-  std::uint64_t ssd_hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t deletes = 0;
-  std::uint64_t flushes = 0;          ///< Flush batches written to SSD.
-  std::uint64_t flushed_items = 0;
-  std::uint64_t flushed_bytes = 0;
-  std::uint64_t promotions = 0;       ///< SSD items promoted back to RAM.
-  std::uint64_t dropped_evictions = 0;///< Items lost (in-memory LRU / SSD full).
-  std::uint64_t ssd_live_bytes = 0;   ///< Live (referenced) bytes on SSD.
-  std::uint64_t checksum_failures = 0;
-  std::uint64_t io_errors = 0;        ///< SSD accesses that failed (kIoError).
-  bool degraded = false;              ///< RAM-only mode (SSD deemed unhealthy).
-  std::uint32_t degraded_shards = 0;  ///< Shards currently degraded (<= shard count).
-  std::uint64_t optimistic_hits = 0;  ///< GETs served lock-free (RAM seqlock).
-  std::uint64_t optimistic_retries = 0;///< Seqlock validation conflicts retried.
-  std::uint64_t locked_fallbacks = 0; ///< GETs that fell back to the locked path.
+/// Store counters of one shard. The sharded facade and the testbed sum them
+/// with metrics::merge (degraded ORs).
+#define HYKV_MANAGER_STATS_FIELDS(X)                                          \
+  X(std::uint64_t, sets)                                                      \
+  X(std::uint64_t, ram_hits)                                                  \
+  X(std::uint64_t, ssd_hits)                                                  \
+  X(std::uint64_t, misses)                                                    \
+  X(std::uint64_t, expired)                                                   \
+  X(std::uint64_t, deletes)                                                   \
+  X(std::uint64_t, flushes) /* flush batches written to SSD */                \
+  X(std::uint64_t, flushed_items)                                             \
+  X(std::uint64_t, flushed_bytes)                                             \
+  X(std::uint64_t, promotions) /* SSD items promoted back to RAM */           \
+  X(std::uint64_t, dropped_evictions) /* items lost (LRU / SSD full) */       \
+  X(std::uint64_t, ssd_live_bytes) /* live (referenced) bytes on SSD */       \
+  X(std::uint64_t, checksum_failures)                                         \
+  X(std::uint64_t, io_errors) /* SSD accesses that failed (kIoError) */       \
+  X(bool, degraded) /* RAM-only mode (SSD deemed unhealthy) */                \
+  X(std::uint32_t, degraded_shards) /* degraded shards (<= shards) */         \
+  X(std::uint64_t, optimistic_hits) /* GETs served lock-free (RAM seqlock) */ \
+  X(std::uint64_t, optimistic_retries) /* seqlock conflicts retried */        \
+  X(std::uint64_t, locked_fallbacks) /* GETs that fell back to locking */
 
-  /// Accumulates `other` into this (counter sums; degraded ORs). Used by the
-  /// sharded facade and the testbed to aggregate per-shard / per-server stats.
-  void merge_from(const ManagerStats& other) noexcept {
-    sets += other.sets;
-    ram_hits += other.ram_hits;
-    ssd_hits += other.ssd_hits;
-    misses += other.misses;
-    expired += other.expired;
-    deletes += other.deletes;
-    flushes += other.flushes;
-    flushed_items += other.flushed_items;
-    flushed_bytes += other.flushed_bytes;
-    promotions += other.promotions;
-    dropped_evictions += other.dropped_evictions;
-    ssd_live_bytes += other.ssd_live_bytes;
-    checksum_failures += other.checksum_failures;
-    io_errors += other.io_errors;
-    degraded = degraded || other.degraded;
-    degraded_shards += other.degraded_shards;
-    optimistic_hits += other.optimistic_hits;
-    optimistic_retries += other.optimistic_retries;
-    locked_fallbacks += other.locked_fallbacks;
-  }
+struct ManagerStats {
+  HYKV_COUNTER_FIELDS(ManagerStats, HYKV_MANAGER_STATS_FIELDS)
 };
 
 class HybridSlabManager {

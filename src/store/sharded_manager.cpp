@@ -70,7 +70,7 @@ std::size_t ShardedManager::item_count() const {
 
 ManagerStats ShardedManager::stats() const {
   ManagerStats total;
-  for (const auto& shard : shards_) total.merge_from(shard->stats());
+  for (const auto& shard : shards_) metrics::merge(total, shard->stats());
   return total;
 }
 

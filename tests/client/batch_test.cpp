@@ -216,7 +216,7 @@ TEST_F(BatchTest, MgetCoalescesIntoBatchFramesEndToEnd) {
   cfg.client_batch_max_ops = 8;
   // Deliberately keep the default 1 MiB bounce_slot_bytes: mget's dest
   // buffers are that large, and a Get's dest must NOT count against
-  // batch_max_bytes (only the key travels in the request frame) -- a
+  // the batch byte bound (only the key travels in the request frame) -- a
   // regression there silently disables coalescing for every default-config
   // mget.
   TestBed bed(cfg);

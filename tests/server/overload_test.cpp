@@ -204,7 +204,6 @@ TEST_F(OverloadTest, RetryBudgetBoundsRetriesAndRefillsOnSuccess) {
     ccfg.servers = {fake_server->id()};
     ccfg.op_deadline = sim::ms(60);
     ccfg.max_retries = 5;
-    ccfg.retry_backoff = sim::ms(1);
     ccfg.retry_budget = 1;  // one retry in the bucket
     ccfg.failover.eject_after = 1000000;  // keep ejection out of this test
     auto client = std::make_unique<client::Client>(fabric, ccfg);

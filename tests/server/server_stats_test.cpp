@@ -5,11 +5,15 @@
 // trace` observability surface (schema round-trips, legacy byte-identity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "client/client.hpp"
@@ -31,41 +35,28 @@ using core::TestBedConfig;
 // Renderer unit tests (no server needed: render_stats_text is a free
 // function precisely so it can be fed adversarial counter values).
 
-server::ServerCounters maximal_counters() {
-  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-  server::ServerCounters c;
-  c.requests = kMax;
-  c.sets = kMax;
-  c.gets = kMax;
-  c.deletes = kMax;
-  c.touches = kMax;
-  c.admin = kMax;
-  c.malformed = kMax;
-  c.shed = kMax;
-  c.expired_on_arrival = kMax;
-  return c;
+std::map<std::string, std::uint64_t> parse_stats(const std::string& text) {
+  std::map<std::string, std::uint64_t> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const auto space = line.find(' ');
+    if (space == std::string::npos) continue;
+    out[line.substr(0, space)] = std::stoull(line.substr(space + 1));
+  }
+  return out;
 }
 
-store::ManagerStats maximal_store_stats() {
-  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-  store::ManagerStats s;
-  s.sets = kMax;
-  s.ram_hits = kMax;
-  s.ssd_hits = kMax;
-  s.misses = kMax;
-  s.expired = kMax;
-  s.optimistic_hits = kMax;
-  s.optimistic_retries = kMax;
-  s.locked_fallbacks = kMax;
-  s.flushes = kMax;
-  s.flushed_bytes = kMax;
-  s.promotions = kMax;
-  s.dropped_evictions = kMax;
-  s.ssd_live_bytes = kMax;
-  s.io_errors = kMax;
-  s.degraded = true;
-  s.degraded_shards = std::numeric_limits<std::uint32_t>::max();
-  return s;
+// Every field of a counter family at its type's maximum (degraded = true),
+// built from the family's field list so a new field is covered too.
+template <typename Family>
+Family maximal() {
+  Family family;
+  Family::for_each_field([&family](std::string_view, auto field) {
+    using T = std::remove_cvref_t<decltype(family.*field)>;
+    family.*field = std::numeric_limits<T>::max();
+  });
+  return family;
 }
 
 TEST(RenderStatsTest, MaximalCountersRenderCompletelyAndWellFormed) {
@@ -75,7 +66,7 @@ TEST(RenderStatsTest, MaximalCountersRenderCompletelyAndWellFormed) {
   slab.used_chunks = std::numeric_limits<std::size_t>::max();
 
   const std::string text = server::render_stats_text(
-      maximal_counters(), maximal_store_stats(), slab,
+      maximal<server::ServerCounters>(), maximal<store::ManagerStats>(), slab,
       std::numeric_limits<std::size_t>::max(), 256);
 
   // The old fixed-size buffer truncated exactly this case; the renderer
@@ -139,6 +130,36 @@ TEST(RenderStatsTest, SchemaKeepsFrozenPrefixOrder) {
   for (std::size_t i = 0; i < frozen.size(); ++i) {
     EXPECT_EQ(schema[i], frozen[i]) << "row " << i;
   }
+}
+
+TEST(RenderStatsTest, EveryFamilyFieldIsRenderedOrInternal) {
+  // Store fields the `stats` text leaves out on purpose: the server's own
+  // per-op counters fill the `sets` and `deletes` rows, and flushed_items /
+  // checksum_failures were never exported. Any other ServerCounters or
+  // ManagerStats field must show up on some row: set it alone, render, and
+  // look for a nonzero value.
+  const std::set<std::string_view> internal_store_fields = {
+      "sets", "deletes", "flushed_items", "checksum_failures"};
+  const auto renders_nonzero = [](const server::ServerCounters& counters,
+                                  const store::ManagerStats& store) {
+    const auto rows =
+        parse_stats(server::render_stats_text(counters, store, {}, 0, 0));
+    return std::ranges::any_of(rows, [](const auto& row) {
+      return row.second != 0;
+    });
+  };
+  server::ServerCounters::for_each_field([&](std::string_view name,
+                                             auto field) {
+    server::ServerCounters counters;
+    counters.*field = 1;
+    EXPECT_TRUE(renders_nonzero(counters, {})) << "ServerCounters::" << name;
+  });
+  store::ManagerStats::for_each_field([&](std::string_view name, auto field) {
+    store::ManagerStats store;
+    store.*field = 1;
+    EXPECT_EQ(renders_nonzero({}, store), !internal_store_fields.contains(name))
+        << "ManagerStats::" << name;
+  });
 }
 
 TEST(RenderLatencyTest, EmitsEveryFieldInSchemaOrder) {
@@ -274,18 +295,6 @@ TEST_F(ServerStatsE2eTest, AsyncWorkersBalanceAcrossMetricSlots) {
 
 // ---------------------------------------------------------------------------
 // `stats latency` / `stats trace`: the wire observability surface.
-
-std::map<std::string, std::uint64_t> parse_stats(const std::string& text) {
-  std::map<std::string, std::uint64_t> out;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const auto space = line.find(' ');
-    if (space == std::string::npos) continue;
-    out[line.substr(0, space)] = std::stoull(line.substr(space + 1));
-  }
-  return out;
-}
 
 TEST_F(ServerStatsE2eTest, StatsLatencyRoundTripsAndBalancesAgainstCounters) {
   TestBedConfig cfg;
