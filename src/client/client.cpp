@@ -90,10 +90,10 @@ void Client::tx_main() {
   // Doorbell batching (DESIGN.md §12): after the blocking pop, the engine
   // opportunistically drains whatever else is already queued and coalesces
   // consecutive same-server jobs -- up to batch_max_ops / kBatchMaxBytes --
-  // into one kOpBatch frame. A job bound for a *different* server closes the
+  // into one batch frame. A job bound for a *different* server closes the
   // current run and carries over as the seed of the next one, preserving
   // per-server FIFO order. With batch_max_ops <= 1 (the default) every run
-  // holds one job and takes the single-frame path, byte for byte the
+  // holds one job and goes out as a plain frame, byte for byte the
   // pre-batching wire behaviour.
   std::optional<TxJob> carry;
   std::vector<TxJob> run;
@@ -120,11 +120,7 @@ void Client::tx_main() {
       run_bytes += next_bytes;
       run.push_back(*std::move(next));
     }
-    if (run.size() == 1) {
-      post_single(run.front());  // runs of one are never wrapped
-    } else {
-      send_batch(run);
-    }
+    post(run);
     // NOTE: the responses may already be in flight (or even processed), so
     // the requests may only be touched via the pending map.
     for (const TxJob& sent : run) signal_sent(sent.wr_id);
@@ -135,155 +131,94 @@ void Client::tx_main() {
 }
 
 std::vector<char> Client::encode_job(const TxJob& job) const {
-  std::vector<char> payload;
   switch (job.opcode) {
     case Opcode::kOpSet:
-      // The value span is read *here*, on the engine thread for an iset --
-      // this is the zero-copy hazard window the iset documentation warns
-      // about.
-      payload = server::encode_set(server::SetRequest{
-          .key = job.key,
-          .value = job.value,
-          .flags = job.flags,
-          .expiration = job.expiration,
-      });
-      break;
-    case Opcode::kOpGet:
-    case Opcode::kOpDelete:
-      payload = server::encode_key_request(job.key);
-      break;
     case Opcode::kOpAdd:
     case Opcode::kOpReplace:
     case Opcode::kOpAppend:
     case Opcode::kOpPrepend:
-      payload = server::encode_set(server::SetRequest{
+      // The value span is read *here*, on the engine thread for an iset --
+      // this is the zero-copy hazard window the iset documentation warns
+      // about.
+      return server::encode_set(server::SetRequest{
           .key = job.key,
           .value = job.value,
           .flags = job.flags,
           .expiration = job.expiration,
       });
-      break;
+    case Opcode::kOpGet:
+    case Opcode::kOpGets:
+    case Opcode::kOpDelete:
+      return server::encode_key_request(job.key);
     case Opcode::kOpIncr:
     case Opcode::kOpDecr:
-      payload = server::encode_counter(
-          job.key, static_cast<std::uint64_t>(job.expiration));
-      break;
+      return server::encode_counter(job.key,
+                                    static_cast<std::uint64_t>(job.expiration));
     case Opcode::kOpTouch:
-      payload = server::encode_touch(job.key, job.expiration);
-      break;
-    case Opcode::kOpGets:
-      payload = server::encode_key_request(job.key);
-      break;
+      return server::encode_touch(job.key, job.expiration);
     case Opcode::kOpCas:
-      payload = server::encode_cas(server::CasRequest{
+      return server::encode_cas(server::CasRequest{
           .key = job.key,
           .value = job.value,
           .flags = job.flags,
           .expiration = job.expiration,
           .cas = job.cas_token,
       });
-      break;
-    case Opcode::kOpFlushAll:
-      break;  // empty payload
     case Opcode::kOpStats:
       // Subcommand bytes ride in job.key ("" = legacy counter text).
-      payload.assign(job.key.begin(), job.key.end());
-      break;
+      return {job.key.begin(), job.key.end()};
     default:
-      break;
-  }
-  return payload;
-}
-
-void Client::register_job_memory(const TxJob& job) {
-  // Model the engine-side registration of the source/destination buffer
-  // (registration cache makes repeats nearly free).
-  if (!job.value.empty()) {
-    endpoint_->register_memory(const_cast<char*>(job.value.data()),
-                               job.value.size());
+      return {};  // kOpFlushAll: empty payload
   }
 }
 
-void Client::post_single(const TxJob& job) {
-  register_job_memory(job);
-  std::vector<char> payload = encode_job(job);
-  if (job.deadline_ns != 0) {
-    // Deadline propagation: the server strips this header at receipt and
-    // sheds the request with kBusy if the deadline already passed.
-    payload = server::with_deadline(job.deadline_ns, payload);
-  }
-  endpoint_->send(job.server, job.opcode, job.wr_id, payload);
-  HYKV_DEBUG("client %llu tx wr=%llu op=%u to=%llu n=%zu",
-             static_cast<unsigned long long>(endpoint_->id()),
-             static_cast<unsigned long long>(job.wr_id), job.opcode,
-             static_cast<unsigned long long>(job.server), payload.size());
-}
-
-void Client::send_batch(const std::vector<TxJob>& run) {
-  // Each sub-op still registers its own buffer (the HCA needs every source/
-  // destination pinned); only the per-message costs are amortised.
-  std::vector<std::vector<char>> bodies;
-  std::vector<server::BatchItem> items;
-  bodies.reserve(run.size());
-  items.reserve(run.size());
-  std::int64_t deadline_ns = 0;
+void Client::post(std::span<const TxJob> run) {
+  server::RequestWriter frame(run.size());
   for (const TxJob& job : run) {
-    register_job_memory(job);
-    bodies.push_back(encode_job(job));
-    items.push_back(server::BatchItem{
-        .opcode = job.opcode,
-        .wr_id = job.wr_id,
-        .payload = bodies.back(),
-    });
-    // One propagated deadline header per frame: the tightest sub-op deadline
-    // governs the whole frame (coalesced ops were issued microseconds apart
-    // under the same op_deadline, so the min loses essentially nothing).
-    if (job.deadline_ns != 0 &&
-        (deadline_ns == 0 || job.deadline_ns < deadline_ns)) {
-      deadline_ns = job.deadline_ns;
+    // Model the engine-side registration of each op's source/destination
+    // buffer (the registration cache makes repeats nearly free): a batch
+    // frame amortises only the per-message costs.
+    if (!job.value.empty()) {
+      endpoint_->register_memory(const_cast<char*>(job.value.data()),
+                                 job.value.size());
     }
+    frame.add(job.opcode, job.wr_id, job.deadline_ns, encode_job(job));
   }
-  std::vector<char> frame = server::encode_batch(items);
-  if (deadline_ns != 0) {
-    frame = server::with_deadline(deadline_ns, frame);
+  if (run.size() > 1) {
+    // Count before posting: once the frame is on the wire its ops can
+    // complete and a caller may read counters() before this thread runs
+    // again, so counting after the send would under-report against the
+    // server's view.
+    counters_.add(&ClientCounters::batches_sent);
+    counters_.add(&ClientCounters::batched_ops, run.size());
   }
-  // Count before posting: once the frame is on the wire its ops can complete
-  // and a caller may read counters() before this thread runs again, so
-  // counting after the send would under-report against the server's view.
-  counters_.add(&ClientCounters::batches_sent);
-  counters_.add(&ClientCounters::batched_ops, run.size());
-  // The outer wr_id mirrors the first sub-op so even a reply to a frame the
-  // server could not decode correlates to a live pending entry.
-  endpoint_->send(run.front().server, Opcode::kOpBatch, run.front().wr_id,
-                  frame);
-  HYKV_DEBUG("client %llu tx batch n=%zu to=%llu bytes=%zu",
-             static_cast<unsigned long long>(endpoint_->id()), run.size(),
-             static_cast<unsigned long long>(run.front().server),
-             frame.size());
+  const server::OutgoingFrame out = std::move(frame).finish();
+  endpoint_->send(run.front().server, out.opcode, out.wr_id, out.payload);
+  HYKV_DEBUG("client %llu tx wr=%llu op=%u to=%llu ops=%zu bytes=%zu",
+             static_cast<unsigned long long>(endpoint_->id()),
+             static_cast<unsigned long long>(out.wr_id), out.opcode,
+             static_cast<unsigned long long>(run.front().server), run.size(),
+             out.payload.size());
 }
 
 void Client::rx_main() {
   while (true) {
     auto msg = endpoint_->recv();
     if (!msg.ok()) break;
-    if (msg.value().opcode == Opcode::kOpBatchResponse) {
-      // Demultiplex a batched response into individual completions. Each
-      // sub-response carries its own wr_id, so completion order/semantics
-      // are identical to the unbatched path.
-      const auto items = server::decode_batch_response(msg.value().payload);
-      if (!items.has_value()) {
-        HYKV_WARN("client %llu: malformed batch response (%zu bytes)",
-                  static_cast<unsigned long long>(endpoint_->id()),
-                  msg.value().payload.size());
-        continue;  // affected ops will time out and cancel individually
-      }
-      for (const auto& item : *items) {
-        complete_one(item.wr_id, item.payload);
-      }
-      continue;
+    const net::Message& reply = msg.value();
+    // Each op's reply carries its own wr_id, so completion is the same
+    // whether the ops came back one per frame or batched.
+    const auto frame =
+        server::open_reply(reply.opcode, reply.wr_id, reply.payload);
+    if (!frame.has_value()) {
+      HYKV_WARN("client %llu: unreadable reply (opcode %u, %zu bytes)",
+                static_cast<unsigned long long>(endpoint_->id()),
+                static_cast<unsigned>(reply.opcode), reply.payload.size());
+      continue;  // affected ops will time out and cancel individually
     }
-    if (msg.value().opcode != Opcode::kOpResponse) continue;
-    complete_one(msg.value().wr_id, msg.value().payload);
+    for (const server::BatchResponseItem& op : frame->ops()) {
+      complete_one(op.wr_id, op.payload);
+    }
   }
 }
 
@@ -370,7 +305,7 @@ void Client::signal_sent(std::uint64_t wr_id) {
 }
 
 StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
-                         std::span<char> dest, Post post) {
+                         std::span<char> dest, Post how) {
   req.reset(dest);
   req.server_ = job.server;
   req.opcode_ = job.opcode;
@@ -418,13 +353,13 @@ StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
   }
   job.wr_id = wr_id;
   req.wr_id_ = wr_id;
-  if (post == Post::kInlineWhenIdle &&
+  if (how == Post::kInlineWhenIdle &&
       tx_backlog_.load(std::memory_order_acquire) == 0) {
     // The caller blocks on this op anyway and nothing is queued ahead of
     // it: post on this thread instead of waking the TX engine and then
     // being woken by it. The caller owns `req`, so marking it sent after
     // the post is safe even if the response already completed it.
-    post_single(job);
+    post(std::span<const TxJob>(&job, 1));
     req.sent_.store(true, std::memory_order_release);
     return StatusCode::kOk;
   }
@@ -506,14 +441,14 @@ StatusCode Client::bset(std::string_view key, std::span<const char> value,
 }
 
 StatusCode Client::start_get(std::string_view key, std::span<char> dest,
-                             Request& req, Post post) {
+                             Request& req, Post how) {
   TxJob job;
   job.opcode = Opcode::kOpGet;
   job.server = ring_.select(key);
   job.key = std::string(key);
   // Destination registration is modelled via the value span (engine-side).
   job.value = std::span<const char>(dest.data(), dest.size());
-  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/true, dest, post);
+  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/true, dest, how);
 }
 
 StatusCode Client::iget(std::string_view key, std::span<char> dest, Request& req) {
@@ -884,8 +819,8 @@ std::vector<Result<std::vector<char>>> Client::mget_status(
   // One request + destination buffer per key, all in flight at once --
   // the whole point of mget over a loop of blocking gets. Issue order is
   // grouped by target server so that with batching enabled (batch_max_ops
-  // > 1) the TX engine coalesces each server's gets into one kOpBatch
-  // frame instead of interleaving servers and fragmenting the runs.
+  // > 1) the TX engine coalesces each server's gets into one batch frame
+  // instead of interleaving servers and fragmenting the runs.
   std::vector<std::size_t> order;
   order.reserve(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {

@@ -103,7 +103,7 @@ struct ClientConfig {
   //      byte-for-byte the pre-batching behaviour) ----
   /// TX coalescing bound: the engine opportunistically drains the TX queue
   /// and packs up to this many *consecutive same-server* requests into one
-  /// kOpBatch frame, paying the per-message fabric costs (doorbell,
+  /// batch frame, paying the per-message fabric costs (doorbell,
   /// propagation, response post) once per frame instead of once per op.
   /// 1 (default) disables coalescing entirely -- every op is its own frame,
   /// byte-identical to the unbatched protocol. A run of length 1 is always
@@ -138,7 +138,7 @@ struct ClientConfig {
   X(std::uint64_t, busy) /* kBusy responses (server shed/expired) */        \
   X(std::uint64_t, busy_fail_fast) /* issues refused: local window full */  \
   X(std::uint64_t, retry_budget_exhausted) /* retries skipped: no tokens */ \
-  X(std::uint64_t, batches_sent) /* kOpBatch frames posted by the engine */ \
+  X(std::uint64_t, batches_sent) /* batch frames posted by the engine */    \
   X(std::uint64_t, batched_ops) /* ops that rode inside those frames */
 
 struct ClientCounters {
@@ -324,31 +324,23 @@ class Client {
   void tx_main();
   void rx_main();
   /// Encodes one job's request payload (the per-opcode wire encoding,
-  /// without the deadline envelope). Shared by the single-frame and batch
-  /// TX paths so both emit byte-identical op encodings.
+  /// without the deadline envelope).
   [[nodiscard]] std::vector<char> encode_job(const TxJob& job) const;
-  /// Registers the job's source/destination memory with the engine
-  /// (registration-cache hits make repeats nearly free).
-  void register_job_memory(const TxJob& job);
   /// How issue() hands a registered job to the wire.
   enum class Post {
     kQueued,          ///< Through the TX engine (iset/iget).
     kInlineWhenIdle,  ///< On the caller's thread while the engine is idle.
   };
 
-  /// Posts one job as a plain single-op frame (the pre-batching wire
-  /// behaviour, byte for byte): registration, encode, deadline envelope,
-  /// send. Called by the TX engine and, for inline posts, by the caller.
-  void post_single(const TxJob& job);
-  /// Sends a coalesced run (>= 2 consecutive same-server jobs) as one
-  /// kOpBatch frame carrying per-op wr_ids and the minimum propagated
-  /// deadline.
-  void send_batch(const std::vector<TxJob>& run);
+  /// Posts a run of consecutive same-server jobs as one frame: registration,
+  /// encode, send. protocol.hpp picks the frame shape: a run of one is a
+  /// plain frame, byte for byte the pre-batching wire. Called by the TX
+  /// engine and, with a run of one, by the caller for inline posts.
+  void post(std::span<const TxJob> run);
   /// Completes the pending op `wr_id` from its raw RESP-encoded bytes
   /// (undecodable bytes complete as kServerError): pending-map erase, GET
   /// value placement, hit/miss + overload counters, bounce-slot release,
-  /// ring health, completion signal. Shared by the single-response and
-  /// batch-demux RX paths.
+  /// ring health, completion signal.
   void complete_one(std::uint64_t wr_id, std::span<const char> response_bytes);
   /// Publishes req's result and wakes waiters. Last access to `req`.
   void signal_completion(Request& req, StatusCode status, std::uint32_t flags,
@@ -369,7 +361,7 @@ class Client {
     completion_cv_.wait(completion_mu_, std::forward<Pred>(pred));
   }
   StatusCode issue(TxJob job, Request& req, int slot, bool is_get,
-                   std::span<char> dest, Post post = Post::kInlineWhenIdle);
+                   std::span<char> dest, Post how = Post::kInlineWhenIdle);
   /// Shared body of bset and set: stages the value in a bounce slot (a
   /// private copy when oversized), issues the Set and waits until it is
   /// sent, so the slot is never recycled while a queued job still reads it.
@@ -379,7 +371,7 @@ class Client {
                        Request& req);
   /// Shared body of iget, bget, get and mget. Key must be non-empty.
   StatusCode start_get(std::string_view key, std::span<char> dest,
-                       Request& req, Post post = Post::kInlineWhenIdle);
+                       Request& req, Post how = Post::kInlineWhenIdle);
   /// Shared body of add/replace/append/prepend (non-idempotent stores).
   StatusCode store_op(std::uint16_t opcode, std::string_view key,
                       std::span<const char> value, std::uint32_t flags,

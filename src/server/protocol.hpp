@@ -14,6 +14,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -324,24 +325,32 @@ inline std::optional<std::uint64_t> decode_counter_value(std::span<const char> p
   return v;
 }
 
-// ---- Batched frames (doorbell batching, DESIGN.md §12) ----
+// ---- Frames: one op, or a batch of them (DESIGN.md §12) ----
 //
-// The client TX engine coalesces consecutive same-server requests into one
-// kOpBatch frame so the per-message fabric costs (doorbell, propagation,
-// response post) are paid once per frame instead of once per op. Layout
-// (inner payload -- an optional deadline envelope may wrap the whole frame):
+// A message carries one of two frame shapes, and only this header tells
+// them apart. A plain frame is one op: the message's opcode, wr_id and
+// payload. A batch frame is a run of ops bound for one server, which the
+// client TX engine coalesces so the per-message fabric costs (doorbell,
+// propagation, response post) are paid once per frame instead of once per
+// op. Layout (inner payload -- an optional deadline envelope may wrap the
+// whole frame):
 //
 //   BATCH : [u32 op_count] then op_count times
 //           [u16 opcode][u64 wr_id][u32 len][len bytes of that op's encoding]
 //   BRESP : [u32 op_count] then op_count times
 //           [u64 wr_id][u32 len][len bytes of RESP encoding]
 //
-// Correlation: the outer Message::wr_id carries the *first* sub-op's wr_id
-// (so even a reply to an undecodable frame reaches a real pending entry);
-// per-op completion rides on the wr_ids inside the frame. Decoding is strict
-// where the handlers need it to be: zero ops, a count that cannot fit the
+// Correlation: the outer Message::wr_id carries the *first* op's wr_id (so
+// even a reply to an undecodable frame reaches a real pending entry); per-op
+// completion rides on the wr_ids inside the frame. Decoding is strict where
+// the handlers need it to be: zero ops, a count that cannot fit the
 // remaining bytes, truncated items, or trailing garbage all yield nullopt
 // (the server answers kInvalidArgument, never executes a partial frame).
+//
+// The openers and writers at the end of this header turn either shape into
+// a span of ops and back, so the server has one request handler and the
+// client one posting function and one completion loop. A plain frame costs
+// no allocation or copy beyond its op's own encoding.
 
 namespace detail {
 inline void append_u16(std::vector<char>& out, std::uint16_t v) {
@@ -366,16 +375,30 @@ inline bool read_u64(std::span<const char> in, std::size_t& pos, std::uint64_t& 
   pos += 8;
   return true;
 }
+inline void append_batch_item(std::vector<char>& out, std::uint16_t opcode,
+                              std::uint64_t wr_id, std::span<const char> body) {
+  append_u16(out, opcode);
+  append_u64(out, wr_id);
+  append_u32(out, static_cast<std::uint32_t>(body.size()));
+  out.insert(out.end(), body.begin(), body.end());
+}
+inline void append_batch_response_item(std::vector<char>& out,
+                                       std::uint64_t wr_id,
+                                       std::span<const char> resp) {
+  append_u64(out, wr_id);
+  append_u32(out, static_cast<std::uint32_t>(resp.size()));
+  out.insert(out.end(), resp.begin(), resp.end());
+}
 }  // namespace detail
 
-/// One sub-request of a kOpBatch frame (views into the frame payload).
+/// One op of a request frame (views into the frame payload).
 struct BatchItem {
   std::uint16_t opcode = 0;
   std::uint64_t wr_id = 0;
   std::span<const char> payload{};
 };
 
-/// One sub-response of a kOpBatchResponse frame (views into the payload).
+/// One op's reply in a reply frame (views into the frame payload).
 struct BatchResponseItem {
   std::uint64_t wr_id = 0;
   std::span<const char> payload{};
@@ -386,6 +409,39 @@ inline constexpr std::size_t kBatchItemHeaderBytes = 14;
 /// Fixed bytes per batch-response item ([u64 wr][u32 len]).
 inline constexpr std::size_t kBatchResponseHeaderBytes = 12;
 
+namespace detail {
+/// Decodes the layout both batch frames share: [u32 count], then per item
+/// its fixed fields (`read_head`), [u32 len] and len body bytes.
+/// `head_bytes` is an item's fixed size, length included.
+template <typename Item, typename ReadHead>
+std::optional<std::vector<Item>> decode_items(std::span<const char> payload,
+                                              std::size_t head_bytes,
+                                              ReadHead read_head) {
+  std::size_t pos = 0;
+  std::uint32_t count = 0;
+  if (!read_u32(payload, pos, count)) return std::nullopt;
+  if (count == 0) return std::nullopt;  // empty frames are malformed
+  // Oversized-count guard: each item needs at least its fixed header, so a
+  // count the remaining bytes cannot possibly hold is rejected before any
+  // reserve/parse work (a hostile 0xFFFFFFFF count must not allocate).
+  if (count > (payload.size() - pos) / head_bytes) return std::nullopt;
+  std::vector<Item> items;
+  items.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    Item item;
+    std::uint32_t len = 0;
+    if (!read_head(pos, item)) return std::nullopt;
+    if (!read_u32(payload, pos, len)) return std::nullopt;
+    if (len > payload.size() - pos) return std::nullopt;
+    item.payload = payload.subspan(pos, len);
+    pos += len;
+    items.push_back(item);
+  }
+  if (pos != payload.size()) return std::nullopt;  // trailing garbage
+  return items;
+}
+}  // namespace detail
+
 inline std::vector<char> encode_batch(std::span<const BatchItem> items) {
   std::size_t total = 4;
   for (const BatchItem& item : items) {
@@ -395,41 +451,19 @@ inline std::vector<char> encode_batch(std::span<const BatchItem> items) {
   out.reserve(total);
   detail::append_u32(out, static_cast<std::uint32_t>(items.size()));
   for (const BatchItem& item : items) {
-    detail::append_u16(out, item.opcode);
-    detail::append_u64(out, item.wr_id);
-    detail::append_u32(out, static_cast<std::uint32_t>(item.payload.size()));
-    out.insert(out.end(), item.payload.begin(), item.payload.end());
+    detail::append_batch_item(out, item.opcode, item.wr_id, item.payload);
   }
   return out;
 }
 
 inline std::optional<std::vector<BatchItem>> decode_batch(
     std::span<const char> payload) {
-  std::size_t pos = 0;
-  std::uint32_t count = 0;
-  if (!detail::read_u32(payload, pos, count)) return std::nullopt;
-  if (count == 0) return std::nullopt;  // empty frames are malformed
-  // Oversized-count guard: each item needs at least its fixed header, so a
-  // count the remaining bytes cannot possibly hold is rejected before any
-  // reserve/parse work (a hostile 0xFFFFFFFF count must not allocate).
-  if (count > (payload.size() - pos) / kBatchItemHeaderBytes) {
-    return std::nullopt;
-  }
-  std::vector<BatchItem> items;
-  items.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    BatchItem item;
-    std::uint32_t len = 0;
-    if (!detail::read_u16(payload, pos, item.opcode)) return std::nullopt;
-    if (!detail::read_u64(payload, pos, item.wr_id)) return std::nullopt;
-    if (!detail::read_u32(payload, pos, len)) return std::nullopt;
-    if (len > payload.size() - pos) return std::nullopt;
-    item.payload = payload.subspan(pos, len);
-    pos += len;
-    items.push_back(item);
-  }
-  if (pos != payload.size()) return std::nullopt;  // trailing garbage
-  return items;
+  return detail::decode_items<BatchItem>(
+      payload, kBatchItemHeaderBytes,
+      [payload](std::size_t& pos, BatchItem& item) {
+        return detail::read_u16(payload, pos, item.opcode) &&
+               detail::read_u64(payload, pos, item.wr_id);
+      });
 }
 
 inline std::vector<char> encode_batch_response(
@@ -442,36 +476,160 @@ inline std::vector<char> encode_batch_response(
   out.reserve(total);
   detail::append_u32(out, static_cast<std::uint32_t>(items.size()));
   for (const BatchResponseItem& item : items) {
-    detail::append_u64(out, item.wr_id);
-    detail::append_u32(out, static_cast<std::uint32_t>(item.payload.size()));
-    out.insert(out.end(), item.payload.begin(), item.payload.end());
+    detail::append_batch_response_item(out, item.wr_id, item.payload);
   }
   return out;
 }
 
 inline std::optional<std::vector<BatchResponseItem>> decode_batch_response(
     std::span<const char> payload) {
-  std::size_t pos = 0;
-  std::uint32_t count = 0;
-  if (!detail::read_u32(payload, pos, count)) return std::nullopt;
-  if (count == 0) return std::nullopt;
-  if (count > (payload.size() - pos) / kBatchResponseHeaderBytes) {
-    return std::nullopt;
+  return detail::decode_items<BatchResponseItem>(
+      payload, kBatchResponseHeaderBytes,
+      [payload](std::size_t& pos, BatchResponseItem& item) {
+        return detail::read_u64(payload, pos, item.wr_id);
+      });
+}
+
+/// The ops of an opened frame. A plain frame is its one op, viewing the
+/// message (no allocation); a batch frame holds its decoded items.
+template <typename Op>
+struct FrameOps {
+  Op single{};
+  std::vector<Op> batch{};
+
+  [[nodiscard]] bool batched() const noexcept { return !batch.empty(); }
+  [[nodiscard]] std::span<const Op> ops() const noexcept {
+    if (batched()) return batch;
+    return {&single, 1};
   }
-  std::vector<BatchResponseItem> items;
-  items.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    BatchResponseItem item;
-    std::uint32_t len = 0;
-    if (!detail::read_u64(payload, pos, item.wr_id)) return std::nullopt;
-    if (!detail::read_u32(payload, pos, len)) return std::nullopt;
-    if (len > payload.size() - pos) return std::nullopt;
-    item.payload = payload.subspan(pos, len);
-    pos += len;
-    items.push_back(item);
+};
+
+/// A request frame opened for execution.
+struct RequestFrame : FrameOps<BatchItem> {
+  std::int64_t deadline_ns = 0;  ///< Propagated deadline; 0 = none.
+};
+
+/// Opens a request message: strips the deadline envelope once and yields the
+/// frame's ops. nullopt for a batch frame that does not decode.
+inline std::optional<RequestFrame> open_request(std::uint16_t opcode,
+                                                std::uint64_t wr_id,
+                                                std::span<const char> payload) {
+  const DeadlineEnvelope envelope = split_deadline(payload);
+  RequestFrame frame;
+  frame.deadline_ns = envelope.deadline_ns;
+  if (opcode != kOpBatch) {
+    frame.single = {
+        .opcode = opcode, .wr_id = wr_id, .payload = envelope.inner};
+    return frame;
   }
-  if (pos != payload.size()) return std::nullopt;
-  return items;
+  auto ops = decode_batch(envelope.inner);
+  if (!ops.has_value()) return std::nullopt;
+  frame.batch = *std::move(ops);
+  return frame;
+}
+
+/// Builds the reply to an opened request frame, in the frame's own shape: a
+/// plain frame's op answers as kOpResponse carrying its RESP bytes, a batch
+/// frame as one kOpBatchResponse item per op. Add the ops in frame order;
+/// the reply goes out on the request's wr_id.
+class ReplyWriter {
+ public:
+  explicit ReplyWriter(const RequestFrame& frame) : batched_(frame.batched()) {
+    if (batched_) {
+      detail::append_u32(out_, static_cast<std::uint32_t>(frame.batch.size()));
+    }
+  }
+
+  void add(std::uint64_t wr_id, StatusCode status, std::uint32_t flags,
+           std::span<const char> value = {}) {
+    std::vector<char> resp = encode_response(status, flags, value);
+    if (batched_) {
+      detail::append_batch_response_item(out_, wr_id, resp);
+    } else {
+      out_ = std::move(resp);
+    }
+  }
+
+  [[nodiscard]] std::uint16_t opcode() const noexcept {
+    return batched_ ? kOpBatchResponse : kOpResponse;
+  }
+  [[nodiscard]] std::span<const char> payload() const noexcept { return out_; }
+
+ private:
+  bool batched_;
+  std::vector<char> out_;
+};
+
+/// An encoded request frame, ready to post.
+struct OutgoingFrame {
+  std::uint16_t opcode = 0;
+  std::uint64_t wr_id = 0;
+  std::vector<char> payload{};
+};
+
+/// Builds the frame for a run of requests bound for one server. A run of one
+/// is a plain frame: the op's own encoding, moved in, not copied. A longer
+/// run is a batch frame on the first op's wr_id. The frame carries the
+/// run's tightest propagated deadline: coalesced ops were issued
+/// microseconds apart under the same op deadline, so the minimum loses
+/// essentially nothing.
+class RequestWriter {
+ public:
+  explicit RequestWriter(std::size_t ops) : batched_(ops > 1) {
+    if (batched_) {
+      frame_.opcode = kOpBatch;
+      detail::append_u32(frame_.payload, static_cast<std::uint32_t>(ops));
+    }
+  }
+
+  /// Adds the next op; `body` is its encoding without a deadline envelope.
+  void add(std::uint16_t opcode, std::uint64_t wr_id, std::int64_t deadline_ns,
+           std::vector<char> body) {
+    if (std::exchange(first_, false)) frame_.wr_id = wr_id;
+    if (deadline_ns != 0 && (deadline_ns_ == 0 || deadline_ns < deadline_ns_)) {
+      deadline_ns_ = deadline_ns;
+    }
+    if (batched_) {
+      detail::append_batch_item(frame_.payload, opcode, wr_id, body);
+    } else {
+      frame_.opcode = opcode;
+      frame_.payload = std::move(body);
+    }
+  }
+
+  [[nodiscard]] OutgoingFrame finish() && {
+    if (deadline_ns_ != 0) {
+      frame_.payload = with_deadline(deadline_ns_, frame_.payload);
+    }
+    return std::move(frame_);
+  }
+
+ private:
+  bool batched_;
+  bool first_ = true;
+  std::int64_t deadline_ns_ = 0;
+  OutgoingFrame frame_;
+};
+
+/// A reply frame opened for completion: one (wr_id, RESP bytes) per op.
+using ReplyFrame = FrameOps<BatchResponseItem>;
+
+/// Opens a reply message: a plain reply is one op on the message's wr_id, a
+/// batch reply its decoded items. nullopt for any other opcode and for a
+/// batch reply that does not decode.
+inline std::optional<ReplyFrame> open_reply(std::uint16_t opcode,
+                                            std::uint64_t wr_id,
+                                            std::span<const char> payload) {
+  ReplyFrame frame;
+  if (opcode == kOpResponse) {
+    frame.single = {.wr_id = wr_id, .payload = payload};
+    return frame;
+  }
+  if (opcode != kOpBatchResponse) return std::nullopt;
+  auto ops = decode_batch_response(payload);
+  if (!ops.has_value()) return std::nullopt;
+  frame.batch = *std::move(ops);
+  return frame;
 }
 
 }  // namespace hykv::server

@@ -1,7 +1,6 @@
 #include "server/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "common/logging.hpp"
@@ -153,6 +152,44 @@ store::ManagerConfig with_recorder(store::ManagerConfig manager,
   manager.latency = recorder;
   return manager;
 }
+
+/// Opens a request frame. A batch frame that does not decode has no
+/// trustworthy op count, so it becomes one op of its own opcode, which the
+/// dispatcher does not know: one malformed request, answered with a plain
+/// reply on the frame's wr_id. The sender's first pending op -- the outer
+/// wr_id -- fails fast; the other ops it packed cancel at their deadlines.
+RequestFrame open_frame(const net::Message& request) {
+  if (auto frame =
+          open_request(request.opcode, request.wr_id, request.payload)) {
+    return *std::move(frame);
+  }
+  RequestFrame malformed;
+  malformed.single = {.opcode = request.opcode,
+                      .wr_id = request.wr_id,
+                      .payload = request.payload};
+  return malformed;
+}
+
+/// Arrival accounting, exact per op: a frame of n ops is n requests, as if
+/// they had arrived one by one (the requests == ops_sum() invariant). The
+/// frame counters only describe how they arrived.
+void count_arrival(metrics::CounterSlot<ServerCounters>& metrics,
+                   const RequestFrame& frame) {
+  const std::size_t n = frame.ops().size();
+  metrics.add(&ServerCounters::requests, n);
+  if (frame.batched()) {
+    metrics.add(&ServerCounters::batches);
+    metrics.add(&ServerCounters::batched_ops, n);
+  }
+}
+
+/// One op's outcome, kept until the frame's reply is out.
+struct OpOutcome {
+  metrics::Op op = metrics::Op::kOther;
+  StatusCode status = StatusCode::kServerError;
+  bool traced = false;
+  std::uint64_t seq = 0;  ///< Trace sequence number when traced.
+};
 }  // namespace
 
 MemcachedServer::MemcachedServer(net::Fabric& fabric, ServerConfig config,
@@ -226,42 +263,15 @@ bool MemcachedServer::admit(const net::Message& request) {
   if (!queue_full && !inflight_full) return true;
   // Reject cheaply at receipt: no slab/SSD phase -- just a kBusy response so
   // the client backs off instead of queueing behind work the server cannot
-  // absorb. The network thread owns metrics slot 0, so these are the usual
-  // uncontended relaxed adds.
-  WorkerMetrics& metrics = metrics_[0];
-  if (request.opcode == kOpBatch) {
-    // Shedding accounting stays exact per sub-op: a frame of n ops sheds n
-    // requests, and every sub-op gets its own kBusy so the client retries
-    // each one individually (no silent timeouts). This pays the frame decode
-    // -- header walking only, no store work -- which is the price of exact
-    // admission accounting under batching.
-    const auto envelope = split_deadline(request.payload);
-    const auto items = decode_batch(envelope.inner);
-    if (items.has_value()) {
-      const std::size_t n = items->size();
-      metrics.add(&ServerCounters::requests, n);
-      metrics.add(&ServerCounters::shed, n);
-      metrics.add(&ServerCounters::batches);
-      metrics.add(&ServerCounters::batched_ops, n);
-      std::vector<std::vector<char>> bodies;
-      std::vector<BatchResponseItem> responses;
-      bodies.reserve(n);
-      responses.reserve(n);
-      for (const BatchItem& item : *items) {
-        bodies.push_back(encode_response(StatusCode::kBusy, 0));
-        responses.push_back(BatchResponseItem{item.wr_id, bodies.back()});
-      }
-      endpoint_->send(request.src, kOpBatchResponse, request.wr_id,
-                      encode_batch_response(responses));
-      return false;
-    }
-    // Undecodable frame: fall through to the single-request accounting (one
-    // malformed-looking arrival, one plain kBusy).
-  }
-  metrics.add(&ServerCounters::requests);
-  metrics.add(&ServerCounters::shed);
-  endpoint_->send(request.src, kOpResponse, request.wr_id,
-                  encode_response(StatusCode::kBusy, 0));
+  // absorb. Shedding stays exact per op: a frame of n ops sheds n requests
+  // and answers each with its own kBusy, so the client retries each one
+  // (no silent timeouts). Only a shed frame is opened here, and opening a
+  // batch frame walks its headers, no store work. The network thread owns
+  // metrics slot 0, so these are the usual uncontended relaxed adds.
+  const RequestFrame frame = open_frame(request);
+  count_arrival(metrics_[0], frame);
+  metrics_[0].add(&ServerCounters::shed, frame.ops().size());
+  reply_all(request, frame, StatusCode::kBusy);
   return false;
 }
 
@@ -459,223 +469,115 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
 void MemcachedServer::handle(const net::Message& request,
                              WorkerMetrics& metrics,
                              const RequestContext& ctx) {
-  using Clock = std::chrono::steady_clock;
+  const RequestFrame frame = open_frame(request);
+  const std::span<const BatchItem> ops = frame.ops();
+  count_arrival(metrics, frame);
 
-  // Observability (DESIGN.md §10). Recorder/tracer touches are skipped
-  // entirely when both are off -- not even a clock read.
+  // Observability (DESIGN.md §10): the stages this frame passes through, as
+  // offsets from the earliest instant known for it -- the fabric post when
+  // stamped (hand-built test messages may lack it), else server receipt.
+  // One list feeds the span histograms and every sampled op's trace. With
+  // recorder and tracer both off, no stage costs even a clock read.
   metrics::LatencyRecorder* const recorder = recorder_.get();
-  if (recorder != nullptr) {
-    // Fabric-transfer span: post -> delivery, stamped by the sender. Guarded
-    // because hand-built messages (tests) may lack the stamp. Recorded once
-    // per *message*, so a batch frame contributes one transfer span.
-    if (request.sent_at != sim::TimePoint{}) {
-      recorder->record_span(metrics::Span::kFabricTransfer,
-                            metrics::delta_ns(request.sent_at,
-                                              request.deliver_at));
+  const bool observing = recorder != nullptr || tracer_ != nullptr;
+  const bool stamped = request.sent_at != sim::TimePoint{};
+  const sim::TimePoint origin = stamped ? request.sent_at : ctx.received_at;
+  metrics::Trace stages;
+  const auto add_stage = [&](metrics::Span span, sim::TimePoint start,
+                             sim::TimePoint end) {
+    stages.add_span(span, metrics::delta_ns(origin, start),
+                    metrics::delta_ns(start, end));
+  };
+  const auto record_stages = [&] {
+    if (recorder == nullptr) return;
+    for (std::uint32_t i = 0; i < stages.span_count; ++i) {
+      recorder->record_span(stages.spans[i].span, stages.spans[i].duration_ns);
     }
-    if (ctx.dequeued_at > ctx.received_at) {
-      recorder->record_span(metrics::Span::kAdmissionWait,
-                            metrics::delta_ns(ctx.received_at,
-                                              ctx.dequeued_at));
-    }
+  };
+  if (stamped) {
+    add_stage(metrics::Span::kFabricTransfer, request.sent_at,
+              request.deliver_at);
+  }
+  if (ctx.dequeued_at > ctx.received_at) {
+    add_stage(metrics::Span::kAdmissionWait, ctx.received_at, ctx.dequeued_at);
   }
 
-  // Deadline propagation: strip the optional client-deadline header before
-  // anything else so expired work is dropped *before* paying the slab/SSD
-  // phase -- the client has already given up on it.
-  const auto envelope = split_deadline(request.payload);
-
-  if (request.opcode == kOpBatch) {
-    // Coalesced frame: vectorized execution with per-sub-op accounting.
-    // Batch frames are not individually traced (the tracer samples single
-    // requests); their latency still lands per sub-op in the recorder.
-    handle_batch(request, envelope.deadline_ns, envelope.inner, metrics, ctx);
+  // Deadline propagation: the frame carries one deadline (the tightest of
+  // its ops'). If it passed in flight the client has already given up, so
+  // every op is expired on arrival: a cheap kBusy reply without side
+  // effects, before paying the slab/SSD phase. A client that raced its own
+  // deadline treats it exactly like the timeout it was about to declare.
+  if (frame.deadline_ns != 0 &&
+      sim::now().time_since_epoch().count() > frame.deadline_ns) {
+    metrics.add(&ServerCounters::expired_on_arrival, ops.size());
+    reply_all(request, frame, StatusCode::kBusy);
+    record_stages();
     return;
   }
 
-  metrics.add(&ServerCounters::requests);
-
-  std::uint64_t trace_seq = 0;
-  const bool traced = tracer_ != nullptr && tracer_->sample(trace_seq);
-  const bool observing = recorder != nullptr || traced;
-  metrics::Op op_cls = op_class(request.opcode);
-
-  // Expired on arrival: the reply is kBusy (cheap, no side effects); a
-  // client that raced its own deadline treats it exactly like the timeout
-  // it was about to declare.
-  if (envelope.deadline_ns != 0 &&
-      Clock::now().time_since_epoch().count() > envelope.deadline_ns) {
-    metrics.add(&ServerCounters::expired_on_arrival);
-    endpoint_->send(request.src, kOpResponse, request.wr_id,
-                    encode_response(StatusCode::kBusy, 0));
-    return;
+  // Store phase: each op runs through the same dispatch, whatever the frame
+  // shape, and its reply joins the frame's one reply. A plain frame keeps
+  // its one outcome on the stack.
+  OpOutcome one;
+  std::vector<OpOutcome> many(frame.batched() ? ops.size() : 0);
+  const std::span<OpOutcome> outcomes =
+      many.empty() ? std::span<OpOutcome>(&one, 1) : std::span<OpOutcome>(many);
+  const sim::TimePoint store_start = observing ? sim::now() : sim::TimePoint{};
+  ReplyWriter reply(frame);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    OpOutcome& outcome = outcomes[i];
+    outcome.op = op_class(ops[i].opcode);
+    outcome.traced = tracer_ != nullptr && tracer_->sample(outcome.seq);
+    std::vector<char> value;
+    const OpResult result =
+        execute_op(ops[i].opcode, ops[i].payload, metrics, value, outcome.op);
+    outcome.status = result.status;
+    reply.add(ops[i].wr_id, result.status, result.flags,
+              result.has_value ? std::span<const char>(value)
+                               : std::span<const char>{});
   }
-  const std::span<const char> body = envelope.inner;
 
-  // Store phase span: opcode dispatch including the store call(s).
-  const Clock::time_point store_start =
-      observing ? Clock::now() : Clock::time_point{};
-
-  std::vector<char> value;
-  const OpResult op = execute_op(request.opcode, body, metrics, value, op_cls);
-  const StatusCode status = op.status;
-
-  // Response span: format + hand to the NIC.
-  const Clock::time_point response_start =
-      observing ? Clock::now() : Clock::time_point{};
-  const auto payload = encode_response(
-      status, op.flags,
-      op.has_value ? std::span<const char>(value) : std::span<const char>{});
-  HYKV_DEBUG("server %llu handled wr=%llu op=%u -> status=%u",
+  // Response: one reply, one doorbell, for the whole frame.
+  const sim::TimePoint response_start =
+      observing ? sim::now() : sim::TimePoint{};
+  HYKV_DEBUG("server %llu handled wr=%llu op=%u ops=%zu",
              static_cast<unsigned long long>(endpoint_->id()),
              static_cast<unsigned long long>(request.wr_id), request.opcode,
-             static_cast<unsigned>(status));
-  endpoint_->send(request.src, kOpResponse, request.wr_id, payload);
+             ops.size());
+  endpoint_->send(request.src, reply.opcode(), request.wr_id,
+                  reply.payload());
+  if (!observing) return;
 
-  if (observing) {
-    const auto response_end = Clock::now();
-    // End-to-end latency is receipt -> response sent; the fabric-transfer
-    // span (recorded above) covers the wire time before receipt.
+  const sim::TimePoint response_end = sim::now();
+  add_stage(metrics::Span::kStorePhase, store_start, response_start);
+  add_stage(metrics::Span::kResponse, response_start, response_end);
+  record_stages();
+  // Each op's latency is receipt -> reply sent, which keeps the METRICS.md
+  // balance: the op counts sum to requests - shed - expired_on_arrival.
+  for (const OpOutcome& outcome : outcomes) {
     if (recorder != nullptr) {
-      recorder->record_op(op_cls,
+      recorder->record_op(outcome.op,
                           metrics::delta_ns(ctx.received_at, response_end));
-      recorder->record_span(metrics::Span::kStorePhase,
-                            metrics::delta_ns(store_start, response_start));
-      recorder->record_span(metrics::Span::kResponse,
-                            metrics::delta_ns(response_start, response_end));
     }
-    if (traced) {
-      // The trace timeline starts at the earliest instant we know about the
-      // request: the fabric post when stamped, else server receipt.
-      const sim::TimePoint origin = request.sent_at != sim::TimePoint{}
-                                        ? request.sent_at
-                                        : ctx.received_at;
-      metrics::Trace trace;
-      trace.seq = trace_seq;
-      trace.op = op_cls;
-      trace.status = static_cast<std::uint8_t>(status);
+    if (outcome.traced) {
+      metrics::Trace trace = stages;
+      trace.seq = outcome.seq;
+      trace.op = outcome.op;
+      trace.status = static_cast<std::uint8_t>(outcome.status);
       trace.start_ns = static_cast<std::uint64_t>(
-          origin.time_since_epoch().count() < 0
-              ? 0
-              : origin.time_since_epoch().count());
+          std::max<std::int64_t>(origin.time_since_epoch().count(), 0));
       trace.total_ns = metrics::delta_ns(origin, response_end);
-      if (request.sent_at != sim::TimePoint{}) {
-        trace.add_span(metrics::Span::kFabricTransfer, 0,
-                       metrics::delta_ns(request.sent_at, request.deliver_at));
-      }
-      if (ctx.dequeued_at > ctx.received_at) {
-        trace.add_span(metrics::Span::kAdmissionWait,
-                       metrics::delta_ns(origin, ctx.received_at),
-                       metrics::delta_ns(ctx.received_at, ctx.dequeued_at));
-      }
-      trace.add_span(metrics::Span::kStorePhase,
-                     metrics::delta_ns(origin, store_start),
-                     metrics::delta_ns(store_start, response_start));
-      trace.add_span(metrics::Span::kResponse,
-                     metrics::delta_ns(origin, response_start),
-                     metrics::delta_ns(response_start, response_end));
       tracer_->publish(trace);
     }
   }
 }
 
-void MemcachedServer::handle_batch(const net::Message& request,
-                                   std::int64_t deadline_ns,
-                                   std::span<const char> body,
-                                   WorkerMetrics& metrics,
-                                   const RequestContext& ctx) {
-  using Clock = std::chrono::steady_clock;
-  metrics::LatencyRecorder* const recorder = recorder_.get();
-
-  const auto items = decode_batch(body);
-  if (!items.has_value()) {
-    // Undecodable frame: ONE malformed request (there is no trustworthy
-    // sub-op count to charge), answered with a single plain response so the
-    // client's first pending op -- the outer wr_id -- fails fast; any other
-    // ops the sender meant to pack will cancel at their deadlines.
-    metrics.add(&ServerCounters::requests);
-    metrics.add(&ServerCounters::malformed);
-    const auto start = ctx.received_at;
-    endpoint_->send(request.src, kOpResponse, request.wr_id,
-                    encode_response(StatusCode::kInvalidArgument, 0));
-    if (recorder != nullptr) {
-      recorder->record_op(metrics::Op::kOther,
-                          metrics::delta_ns(start, sim::now()));
-    }
-    return;
-  }
-
-  // Admission-exact accounting: a frame of n sub-ops is n requests, exactly
-  // as if they had arrived individually (requests == ops_sum() invariant).
-  const std::size_t n = items->size();
-  metrics.add(&ServerCounters::requests, n);
-  metrics.add(&ServerCounters::batches);
-  metrics.add(&ServerCounters::batched_ops, n);
-
-  std::vector<std::vector<char>> bodies;
-  std::vector<BatchResponseItem> responses;
-  bodies.reserve(n);
-  responses.reserve(n);
-
-  // The frame carries one propagated deadline (the tightest sub-op's): if it
-  // passed in flight, every sub-op is expired on arrival -- all-kBusy reply,
-  // no store work.
-  if (deadline_ns != 0 &&
-      Clock::now().time_since_epoch().count() > deadline_ns) {
-    metrics.add(&ServerCounters::expired_on_arrival, n);
-    for (const BatchItem& item : *items) {
-      bodies.push_back(encode_response(StatusCode::kBusy, 0));
-      responses.push_back(BatchResponseItem{item.wr_id, bodies.back()});
-    }
-    endpoint_->send(request.src, kOpBatchResponse, request.wr_id,
-                    encode_batch_response(responses));
-    return;
-  }
-
-  // Vectorized store phase: each sub-op runs through the same dispatch as a
-  // single request (same counters, same store calls); the store-phase span
-  // covers the whole frame.
-  std::vector<metrics::Op> op_classes;
-  op_classes.reserve(n);
-  const Clock::time_point store_start =
-      recorder != nullptr ? Clock::now() : Clock::time_point{};
-  for (const BatchItem& item : *items) {
-    std::vector<char> value;
-    metrics::Op op_cls = op_class(item.opcode);
-    const OpResult op =
-        execute_op(item.opcode, item.payload, metrics, value, op_cls);
-    op_classes.push_back(op_cls);
-    bodies.push_back(encode_response(
-        op.status, op.flags,
-        op.has_value ? std::span<const char>(value) : std::span<const char>{}));
-    responses.push_back(BatchResponseItem{item.wr_id, bodies.back()});
-  }
-
-  // One response doorbell for the whole frame -- the server-side half of the
-  // amortization the client started.
-  const Clock::time_point response_start =
-      recorder != nullptr ? Clock::now() : Clock::time_point{};
-  const auto frame = encode_batch_response(responses);
-  HYKV_DEBUG("server %llu handled batch wr=%llu n=%zu",
-             static_cast<unsigned long long>(endpoint_->id()),
-             static_cast<unsigned long long>(request.wr_id), n);
-  endpoint_->send(request.src, kOpBatchResponse, request.wr_id, frame);
-
-  if (recorder != nullptr) {
-    const auto response_end = Clock::now();
-    // Per sub-op latency (receipt -> batched response sent) keeps the
-    // METRICS.md balance: sum of op counts == requests - shed -
-    // expired_on_arrival. Store/response spans are per *frame* -- spans
-    // measure pipeline phases, not ops.
-    for (const metrics::Op op_cls : op_classes) {
-      recorder->record_op(op_cls,
-                          metrics::delta_ns(ctx.received_at, response_end));
-    }
-    recorder->record_span(metrics::Span::kStorePhase,
-                          metrics::delta_ns(store_start, response_start));
-    recorder->record_span(metrics::Span::kResponse,
-                          metrics::delta_ns(response_start, response_end));
-  }
+void MemcachedServer::reply_all(const net::Message& request,
+                                const RequestFrame& frame, StatusCode status) {
+  ReplyWriter reply(frame);
+  for (const BatchItem& op : frame.ops()) reply.add(op.wr_id, status, 0);
+  endpoint_->send(request.src, reply.opcode(), request.wr_id,
+                  reply.payload());
 }
 
 std::vector<char> MemcachedServer::render_stats() const {

@@ -48,6 +48,8 @@
 
 namespace hykv::server {
 
+struct RequestFrame;  // protocol.hpp
+
 struct ServerConfig {
   std::string name = "memcached";
   store::ManagerConfig manager{};
@@ -88,7 +90,7 @@ struct ServerConfig {
 /// suite).
 ///
 /// Doorbell batching (DESIGN.md §12): `batches` and `batched_ops` are
-/// informational frame counters, NOT part of ops_sum(). A kOpBatch frame of
+/// informational frame counters, NOT part of ops_sum(). A batch frame of
 /// n sub-ops bumps `requests` by n and each sub-op lands in its per-op
 /// counter exactly as if sent individually, so requests == ops_sum() still
 /// balances; these two only describe *how* the ops arrived (batched_ops /
@@ -103,7 +105,7 @@ struct ServerConfig {
   X(std::uint64_t, malformed)                                                \
   X(std::uint64_t, shed) /* rejected kBusy at receipt (admission full) */    \
   X(std::uint64_t, expired_on_arrival) /* dropped: client deadline passed */ \
-  X(std::uint64_t, batches) /* well-formed kOpBatch frames received */       \
+  X(std::uint64_t, batches) /* well-formed batch frames received */          \
   X(std::uint64_t, batched_ops) /* sub-ops carried by those frames */
 
 struct ServerCounters {
@@ -195,9 +197,9 @@ class MemcachedServer {
     sim::TimePoint dequeued_at{};
   };
 
-  /// Outcome of one opcode dispatch (shared by the single-request path and
-  /// the vectorized batch path). The value bytes live in the caller-provided
-  /// buffer; `has_value` says whether they belong in the response.
+  /// Outcome of one opcode dispatch. The value bytes live in the
+  /// caller-provided buffer; `has_value` says whether they belong in the
+  /// response.
   struct OpResult {
     StatusCode status = StatusCode::kInvalidArgument;
     std::uint32_t flags = 0;
@@ -206,6 +208,9 @@ class MemcachedServer {
 
   void network_main();
   void worker_main(std::size_t worker_index);
+  /// The one request handler, for either frame shape (protocol.hpp): counts
+  /// the frame's ops, checks its deadline once, executes each op and sends
+  /// one reply (DESIGN.md §12).
   void handle(const net::Message& request, WorkerMetrics& metrics,
               const RequestContext& ctx);
   /// Decode + execute one operation against the store, bumping its per-op
@@ -213,11 +218,9 @@ class MemcachedServer {
   OpResult execute_op(std::uint16_t opcode, std::span<const char> body,
                       WorkerMetrics& metrics, std::vector<char>& value,
                       metrics::Op& op_cls);
-  /// Vectorized execution of a kOpBatch frame: per-sub-op admission-exact
-  /// accounting, one batched response (DESIGN.md §12).
-  void handle_batch(const net::Message& request,
-                    std::int64_t deadline_ns, std::span<const char> body,
-                    WorkerMetrics& metrics, const RequestContext& ctx);
+  /// Answers every op of the frame with `status` and no value, in one reply.
+  void reply_all(const net::Message& request, const RequestFrame& frame,
+                 StatusCode status);
   /// Admission check for one arriving request (async mode, admission on).
   /// Returns false after shedding it with a cheap kBusy response.
   bool admit(const net::Message& request);

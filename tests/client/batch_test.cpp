@@ -204,6 +204,42 @@ TEST_F(BatchTest, MalformedBatchFramesAnswerInvalidArgumentNotCrash) {
   raw->close();
 }
 
+// Trace sampling counts ops, not frames: a sampled op inside a batch frame
+// gets its own trace, carrying the frame's stage timeline.
+
+TEST_F(BatchTest, SampledOpInsideBatchFrameIsTraced) {
+  TestBedConfig cfg = small_bed(Design::kRdmaMem);
+  cfg.server_trace_sample_shift = 1;  // trace every 2nd op
+  TestBed bed(cfg);
+  auto raw = bed.fabric().create_endpoint("raw-client");
+
+  const auto value = make_value(2, 128);
+  std::vector<std::vector<char>> bodies;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    bodies.push_back(server::encode_set({.key = make_key(i), .value = value}));
+  }
+  std::vector<server::BatchItem> items;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    items.push_back(
+        {.opcode = server::kOpSet, .wr_id = 200 + i, .payload = bodies[i]});
+  }
+  raw->send(bed.server(0).endpoint_id(), server::kOpBatch, 200,
+            server::encode_batch(items));
+  auto reply = raw->recv();
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply.value().opcode, server::kOpBatchResponse);
+
+  // The four sets are the only ops traced before the stats request.
+  auto client = bed.make_client("c0");
+  const auto text = client->stats_text(0, client::StatsKind::kTrace);
+  ASSERT_TRUE(text.ok());
+  const std::string& json = text.value();
+  EXPECT_NE(json.find("\"op\":\"set\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"span\":\"store_phase\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"span\":\"response\""), std::string::npos) << json;
+  raw->close();
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end coalescing: a client with batching on, driven through mget.
 

@@ -73,16 +73,47 @@ TEST_F(OverloadTest, ExpiredOnArrivalDroppedBeforeStorePhase) {
   EXPECT_EQ(server::decode_response(resp.value().payload)->status,
             StatusCode::kOk);
 
+  // A batch frame under an expired deadline: every op is expired on
+  // arrival and answered kBusy in one batched reply, and none is stored.
+  const std::string keys[] = {"doomed-0", "doomed-1", "doomed-2"};
+  std::vector<std::vector<char>> bodies;
+  std::vector<server::BatchItem> items;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    bodies.push_back(server::encode_set(
+        {.key = keys[i], .value = {value.data(), value.size()}}));
+  }
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    items.push_back({.opcode = server::kOpSet, .wr_id = 10 + i,
+                     .payload = bodies[i]});
+  }
+  raw->send(server, server::kOpBatch, 10,
+            server::with_deadline(1, server::encode_batch(items)));
+  resp = raw->recv();
+  ASSERT_TRUE(resp.ok());
+  ASSERT_EQ(resp.value().opcode, server::kOpBatchResponse);
+  const auto replies = server::decode_batch_response(resp.value().payload);
+  ASSERT_TRUE(replies.has_value());
+  ASSERT_EQ(replies->size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ((*replies)[i].wr_id, 10 + i);
+    const auto busy = server::decode_response((*replies)[i].payload);
+    ASSERT_TRUE(busy.has_value());
+    EXPECT_EQ(busy->status, StatusCode::kBusy);
+  }
+
   const auto counters = bed.server(0).counters();
-  EXPECT_EQ(counters.expired_on_arrival, 1u);
+  EXPECT_EQ(counters.expired_on_arrival, 4u);
   EXPECT_EQ(counters.sets, 1u);  // only the live-deadline set executed
-  EXPECT_EQ(counters.requests, 2u);
+  EXPECT_EQ(counters.requests, 5u);
   EXPECT_EQ(counters.requests, counters.ops_sum());
 
-  // The expired set had no side effects.
+  // The expired sets had no side effects.
   auto client = bed.make_client("checker");
   std::vector<char> out;
   EXPECT_EQ(client->get("doomed", out), StatusCode::kOk);  // from request 2
+  for (const std::string& key : keys) {
+    EXPECT_EQ(client->get(key, out), StatusCode::kNotFound) << key;
+  }
   raw->close();
 }
 
@@ -292,14 +323,21 @@ TEST_F(OverloadTest, FailFastWindowBoundsNonBlockingIssues) {
 // ---------------------------------------------------------------------------
 // Server admission: an async server with a tiny admission bound sheds part
 // of a burst with kBusy instead of stalling the receive loop, and the
-// requests == ops_sum() invariant holds with shed in the sum.
+// requests == ops_sum() invariant holds with shed in the sum. The burst goes
+// out once as plain frames (batch_max_ops 1) and once coalesced (8), where a
+// shed batch frame answers each of its ops with its own kBusy.
 
-TEST_F(OverloadTest, AsyncAdmissionShedsBurstWithBusy) {
+class OverloadAdmissionTest
+    : public OverloadTest,
+      public ::testing::WithParamInterface<std::size_t> {};
+
+TEST_P(OverloadAdmissionTest, AsyncAdmissionShedsBurstWithBusy) {
   TestBedConfig cfg;
   cfg.design = Design::kHRdmaOptNonbI;
   cfg.total_server_memory = 32 << 20;
   cfg.processing_threads = 1;
   cfg.server_admission_queue_limit = 1;  // shed whenever one request waits
+  cfg.client_batch_max_ops = GetParam();
   TestBed bed(cfg);
   auto client = bed.make_client("burster");
 
@@ -335,6 +373,9 @@ TEST_F(OverloadTest, AsyncAdmissionShedsBurstWithBusy) {
   EXPECT_EQ(counters.shed, busy_count);
   EXPECT_EQ(counters.sets, ok_count);
   EXPECT_EQ(counters.requests, counters.ops_sum());
+  if (GetParam() > 1) {
+    EXPECT_GT(counters.batches, 0u) << "the burst must coalesce";
+  }
   EXPECT_EQ(client->pending_requests(), 0u);
   EXPECT_EQ(client->counters().busy, busy_count);
 
@@ -346,6 +387,12 @@ TEST_F(OverloadTest, AsyncAdmissionShedsBurstWithBusy) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats.value().find("shed "), std::string::npos);
 }
+
+INSTANTIATE_TEST_SUITE_P(BatchMaxOps, OverloadAdmissionTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{8}),
+                         [](const auto& param_info) {
+                           return "batch" + std::to_string(param_info.param);
+                         });
 
 // With the knobs at defaults the same burst never sheds: blocking-push
 // backpressure stalls the receive loop instead (pre-overload behaviour).
