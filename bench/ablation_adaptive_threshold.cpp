@@ -23,10 +23,10 @@ int main() {
     for (const std::size_t value_bytes :
          {std::size_t{8} << 10, std::size_t{256} << 10}) {
       Scenario s;
-      s.design = core::Design::kHRdmaOptBlock;
+      s.bed.design = core::Design::kHRdmaOptBlock;
       s.data_ratio = 1.5;
       s.value_bytes = value_bytes;
-      s.adaptive_threshold = threshold;
+      s.bed.server.manager.adaptive_threshold = threshold;
       s.operations = 800;
       const Outcome outcome = run_scenario(s);
       lat[i++] = outcome.result.avg_latency_us();

@@ -205,13 +205,6 @@ int main() {
   json += "],\"headline_small_value_speedup\":" +
           std::to_string(headline_ratio) + "}\n";
 
-  const char* out_path = "BENCH_batching.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
-  } else {
-    std::printf("could not write %s\n", out_path);
-  }
+  bench::write_bench_json("BENCH_batching.json", json);
   return 0;
 }

@@ -118,8 +118,8 @@ CellResult run_cell(const Mode& mode, std::uint64_t ops) {
   core::TestBedConfig cfg;
   cfg.design = core::Design::kRdmaMem;
   cfg.total_server_memory = 16 << 20;
-  cfg.server_record_latency = mode.record_latency;
-  cfg.server_trace_sample_shift = mode.trace_sample_shift;
+  cfg.server.record_latency = mode.record_latency;
+  cfg.server.trace_sample_shift = mode.trace_sample_shift;
   cfg.client_record_latency = mode.record_latency;
   core::TestBed bed(cfg);
   auto client = bed.make_client("bench");
@@ -227,13 +227,6 @@ int main() {
           ",\"ab_trace_pct\":" + std::to_string(ab_trace_pct) +
           ",\"overhead_pct\":" + std::to_string(overhead_pct) + "}\n";
 
-  const char* out_path = "BENCH_obs_overhead.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
-  } else {
-    std::printf("could not write %s\n", out_path);
-  }
+  bench::write_bench_json("BENCH_obs_overhead.json", json);
   return 0;
 }

@@ -52,16 +52,16 @@ core::TestBedConfig bed_config(bool admission, sim::Nanos deadline) {
   cfg.num_servers = 1;
   cfg.total_server_memory = std::size_t{32} << 20;  // dataset RAM-resident
   cfg.ssd = SsdProfile::sata();
-  cfg.processing_threads = 1;
+  cfg.server.processing_threads = 1;
   // A modelled per-op store cost pins the saturation point (~1/cost) far
   // below what the open-loop drivers can offer on any host -- the same
   // trick the shard ablation uses to reproduce contention on one core.
-  cfg.store_op_cost = sim::us(400);
+  cfg.server.manager.modelled_op_cost = sim::us(400);
   cfg.client_failover.eject_after = 1u << 30;  // overload is not death
   cfg.client_op_deadline = deadline;
   if (admission) {
-    cfg.server_admission_queue_limit = 16;
-    cfg.server_max_inflight = 64;
+    cfg.server.admission_queue_limit = 16;
+    cfg.server.max_inflight = 64;
     cfg.client_max_pending_per_server = 128;
     cfg.client_propagate_deadline = deadline.count() > 0;
   }
@@ -359,13 +359,6 @@ int main() {
   json += "],\"worst_goodput_ratio_past_2x\":" + std::to_string(worst_ratio) +
           "}\n";
 
-  const char* out_path = "BENCH_overload.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
-  } else {
-    std::printf("could not write %s\n", out_path);
-  }
+  bench::write_bench_json("BENCH_overload.json", json);
   return 0;
 }

@@ -178,13 +178,6 @@ int main() {
   append_cells(json, cells);
   json += ",\"headline_speedup\":" + std::to_string(headline) + "}\n";
 
-  const char* out_path = "BENCH_readpath.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
-  } else {
-    std::printf("could not write %s\n", out_path);
-  }
+  bench::write_bench_json("BENCH_readpath.json", json);
   return 0;
 }

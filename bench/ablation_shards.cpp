@@ -225,13 +225,6 @@ int main() {
           ",\"sharded1_mops\":" + std::to_string(facade_mops) + "}";
   json += ",\"headline_speedup\":" + std::to_string(best / base) + "}\n";
 
-  const char* out_path = "BENCH_shard_scaling.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
-  } else {
-    std::printf("could not write %s\n", out_path);
-  }
+  bench::write_bench_json("BENCH_shard_scaling.json", json);
   return 0;
 }

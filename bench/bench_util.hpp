@@ -50,17 +50,14 @@ inline std::uint64_t keys_for_ratio(double ratio, std::size_t memory,
 }
 
 struct Scenario {
-  core::Design design = core::Design::kRdmaMem;
+  /// The deployment (design, servers, SSD, memory and SSD totals, server
+  /// knobs). run_scenario adds only the dataset's backend resolver.
+  core::TestBedConfig bed;
   double data_ratio = 1.0;  ///< dataset bytes / cache RAM bytes.
   std::size_t value_bytes = kDefaultValueBytes;
   double read_fraction = 0.5;
   std::uint64_t operations = kDefaultOps;
-  unsigned num_servers = 1;
   unsigned clients = 1;
-  SsdProfile ssd = SsdProfile::sata();
-  std::size_t total_memory = kScaledServerMemory;
-  std::size_t ssd_limit = 0;
-  std::size_t adaptive_threshold = std::size_t{64} << 10;
   std::size_t window = 64;               ///< Non-blocking outstanding cap.
   sim::Nanos poll_compute = sim::us(2);  ///< Compute chunk between polls.
   workload::Pattern pattern = workload::Pattern::kZipf;
@@ -119,23 +116,18 @@ inline std::uint64_t smoke_clamped_ops(std::uint64_t operations) {
 
 inline Outcome run_scenario(const Scenario& s) {
   workload::WorkloadConfig wl;
-  wl.key_count = keys_for_ratio(s.data_ratio, s.total_memory, s.value_bytes);
+  wl.key_count =
+      keys_for_ratio(s.data_ratio, s.bed.total_server_memory, s.value_bytes);
   wl.value_bytes = s.value_bytes;
   wl.read_fraction = s.read_fraction;
   wl.operations = smoke_clamped_ops(s.operations);
-  wl.api = core::api_mode(s.design);
+  wl.api = core::api_mode(s.bed.design);
   wl.verify_values = true;
   wl.window = s.window;
   wl.poll_compute = s.poll_compute;
   wl.pattern = s.pattern;
 
-  core::TestBedConfig bed_cfg;
-  bed_cfg.design = s.design;
-  bed_cfg.num_servers = s.num_servers;
-  bed_cfg.total_server_memory = s.total_memory;
-  bed_cfg.ssd = s.ssd;
-  bed_cfg.total_ssd_limit = s.ssd_limit;
-  bed_cfg.adaptive_threshold = s.adaptive_threshold;
+  core::TestBedConfig bed_cfg = s.bed;
   bed_cfg.backend_resolver =
       workload::dataset_resolver(wl.key_count, wl.value_bytes);
   core::TestBed bed(bed_cfg);
@@ -193,6 +185,18 @@ inline void print_banner(const char* title) {
       static_cast<double>(nvme.read_base.count()) / 1e3,
       static_cast<double>(nvme.write_base.count()) / 1e3);
   std::printf("scaling : 1/16 of the paper's data sizes; latencies unscaled\n\n");
+}
+
+/// Writes a bench's JSON record to `path`, relative to the working
+/// directory, and prints where it went.
+inline void write_bench_json(const char* path, const std::string& json) {
+  if (std::FILE* f = std::fopen(path, "w")) {
+    std::fwrite(json.data(), 1, json.size(), f);
+    std::fclose(f);
+    std::printf("wrote %s\n", path);
+  } else {
+    std::printf("could not write %s\n", path);
+  }
 }
 
 /// "Client wait (net)": blocking-wait time not attributable to server-side

@@ -26,7 +26,7 @@ int main() {
                 "set us/op", "get us/op", "hit%", "backend");
     for (const core::Design design : core::kBaselineDesigns) {
       Scenario s;
-      s.design = design;
+      s.bed.design = design;
       s.data_ratio = fits ? 1.0 : 1.5;
       const Outcome outcome = run_scenario(s);
       const auto& r = outcome.result;

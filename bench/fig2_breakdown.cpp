@@ -40,7 +40,7 @@ int main() {
                 "ClientWait", "MissPenalty");
     for (const core::Design design : core::kBaselineDesigns) {
       Scenario s;
-      s.design = design;
+      s.bed.design = design;
       s.data_ratio = fits ? 1.0 : 1.5;
       const Outcome outcome = run_scenario(s);
       print_breakdown_row(std::string(to_string(design)).c_str(), outcome);

@@ -28,7 +28,7 @@ int main() {
     double ipoib_avg = 0.0, def_avg = 0.0, opt_block_avg = 0.0;
     for (const core::Design design : core::kAllDesigns) {
       Scenario s;
-      s.design = design;
+      s.bed.design = design;
       s.data_ratio = fits ? 1.0 : 1.5;
       const Outcome outcome = run_scenario(s);
       const double avg = outcome.avg_us();

@@ -33,7 +33,7 @@ int main() {
     int i = 0;
     for (const double read_fraction : {1.0, 0.5}) {
       Scenario s;
-      s.design = row.design;
+      s.bed.design = row.design;
       s.data_ratio = 1.5;
       s.read_fraction = read_fraction;
       s.operations = 1500;

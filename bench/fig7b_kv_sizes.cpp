@@ -37,13 +37,13 @@ int main() {
     int column = 0;
     for (const auto design : designs) {
       Scenario s;
-      s.design = design;
+      s.bed.design = design;
       s.data_ratio = 1.5;
       s.value_bytes = size;
       s.operations = 1000;
       // Shrink memory for small values so key counts stay manageable while
       // preserving the 1.5x overflow ratio.
-      if (size <= (std::size_t{4} << 10)) s.total_memory = 8 << 20;
+      if (size <= (std::size_t{4} << 10)) s.bed.total_server_memory = 8 << 20;
       const Outcome outcome = run_scenario(s);
       latencies[column] = outcome.avg_us();
       std::printf(" %18.1f", latencies[column]);

@@ -30,14 +30,14 @@ int main() {
   double def_kops = 0.0;
   for (const auto design : designs) {
     Scenario s;
-    s.design = design;
-    s.num_servers = 4;
+    s.bed.design = design;
+    s.bed.num_servers = 4;
     s.clients = kClients;
     s.value_bytes = 8 << 10;
     s.data_ratio = 2.0;
-    s.total_memory = kScaledServerMemory;        // paper: 1 GB aggregated
-    s.ssd_limit = kScaledServerMemory * 4;       // paper: 4 GB SSD cap
-    s.operations = 300;                          // per client
+    s.bed.total_server_memory = kScaledServerMemory;  // paper: 1 GB aggregated
+    s.bed.total_ssd_limit = kScaledServerMemory * 4;  // paper: 4 GB SSD cap
+    s.operations = 300;                               // per client
     // Shallow windows + coarse polls: with this many client threads on few
     // cores, deep windows turn into scheduler churn, not pipelining.
     s.window = 16;

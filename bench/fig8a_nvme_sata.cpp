@@ -31,9 +31,9 @@ int main() {
       int i = 0;
       for (const double read_fraction : {1.0, 0.5}) {
         Scenario s;
-        s.design = design;
+        s.bed.design = design;
         s.data_ratio = 1.5;
-        s.ssd = ssd;
+        s.bed.ssd = ssd;
         s.read_fraction = read_fraction;
         const Outcome outcome = run_scenario(s);
         lat[i++] = outcome.avg_us();

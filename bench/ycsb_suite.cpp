@@ -37,7 +37,7 @@ int main() {
     std::printf("  %-8s", preset.label);
     for (const auto design : designs) {
       Scenario s;
-      s.design = design;
+      s.bed.design = design;
       s.data_ratio = 1.5;
       s.operations = 800;
       const auto base = workload::ycsb_preset(preset.id, 0, 0, 0);

@@ -541,6 +541,20 @@ StatusCode Client::run_attempts(
   return last;
 }
 
+StatusCode Client::run_into_scratch(
+    Request& req, const std::function<StatusCode(Request&)>& issue_attempt) {
+  StatusCode code = run_attempts(req, issue_attempt, /*idempotent=*/true);
+  // Each pass grows scratch_ to the size the last reply needed. Only a
+  // reply that grew in between -- a stats text, which counts the request
+  // before it -- takes a second pass.
+  while (code == StatusCode::kBufferTooSmall) {
+    scratch_.resize(req.value_length());
+    endpoint_->register_memory(scratch_.data(), scratch_.size());
+    code = run_attempts(req, issue_attempt, /*idempotent=*/true);
+  }
+  return code;
+}
+
 StatusCode Client::set(std::string_view key, std::span<const char> value,
                        std::uint32_t flags, std::int64_t expiration) {
   if (key.empty()) return StatusCode::kInvalidArgument;
@@ -558,9 +572,8 @@ StatusCode Client::get(std::string_view key, std::vector<char>& out,
                        std::uint32_t* flags) {
   if (key.empty()) return StatusCode::kInvalidArgument;
   Request req;
-  StatusCode code = run_attempts(
-      req, [&](Request& r) { return start_get(key, scratch_, r); },
-      /*idempotent=*/true);
+  const StatusCode code = run_into_scratch(
+      req, [&](Request& r) { return start_get(key, scratch_, r); });
   counters_.add(&ClientCounters::gets);
   if (ok(code)) {
     out.assign(scratch_.begin(),
@@ -748,7 +761,7 @@ Result<std::string> Client::stats_text(std::size_t server_index,
   }
   const net::EndpointId server = ring_.servers()[server_index];
   Request req;
-  const StatusCode code = run_attempts(
+  const StatusCode code = run_into_scratch(
       req,
       [&, server](Request& r) {
         TxJob job;
@@ -756,8 +769,7 @@ Result<std::string> Client::stats_text(std::size_t server_index,
         job.server = server;
         job.key = std::string(what);  // subcommand ("", "latency", "trace")
         return issue(std::move(job), r, -1, true, scratch_);
-      },
-      /*idempotent=*/true);
+      });
   if (!ok(code)) return code;
   return std::string(scratch_.data(), req.value_length());
 }
@@ -766,7 +778,7 @@ StatusCode Client::gets(std::string_view key, std::vector<char>& out,
                         std::uint32_t* flags, std::uint64_t* cas) {
   if (key.empty()) return StatusCode::kInvalidArgument;
   Request req;
-  const StatusCode code = run_attempts(
+  const StatusCode code = run_into_scratch(
       req,
       [&](Request& r) {
         TxJob job;
@@ -774,8 +786,7 @@ StatusCode Client::gets(std::string_view key, std::vector<char>& out,
         job.server = ring_.select(key);
         job.key = std::string(key);
         return issue(std::move(job), r, -1, true, scratch_);
-      },
-      /*idempotent=*/true);
+      });
   if (!ok(code)) return code;
   if (req.value_length() < 8) return StatusCode::kServerError;
   std::uint64_t token = 0;

@@ -384,6 +384,11 @@ class Client {
   StatusCode run_attempts(
       Request& req, const std::function<StatusCode(Request&)>& issue_attempt,
       bool idempotent);
+  /// run_attempts for an idempotent blocking read into scratch_ (get, gets,
+  /// stats). A reply larger than scratch_ -- a value set stored through its
+  /// oversized fallback -- grows scratch_ to fit, registers it and reissues.
+  StatusCode run_into_scratch(
+      Request& req, const std::function<StatusCode(Request&)>& issue_attempt);
   void complete_all_pending(StatusCode status);
   /// Spends one retry token; false (and counts) when the bucket is dry.
   /// Always true with retry_budget == 0 (unlimited).
@@ -445,7 +450,7 @@ class Client {
   std::atomic<std::uint64_t> retry_tokens_ ATOMIC_PUBLISHED(
       CAS spend and capped refund, relaxed){0};
 
-  std::vector<char> scratch_;  ///< Blocking-get destination buffer.
+  std::vector<char> scratch_;  ///< Blocking-read destination; grows on demand.
 };
 
 }  // namespace hykv::client

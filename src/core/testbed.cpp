@@ -42,34 +42,19 @@ TestBed::TestBed(TestBedConfig config)
       }
     }
 
-    server::ServerConfig server_config;
+    server::ServerConfig server_config = config_.server;
     server_config.name = std::string(to_string(config_.design)) + "-server-" +
                          std::to_string(i);
     server_config.async_processing = async_server(config_.design);
-    server_config.processing_threads = config_.processing_threads;
-    server_config.request_buffer_slots = config_.server_buffer_slots;
-    server_config.max_inflight = config_.server_max_inflight;
-    server_config.admission_queue_limit = config_.server_admission_queue_limit;
-    server_config.record_latency = config_.server_record_latency;
-    server_config.trace_sample_shift = config_.server_trace_sample_shift;
     server_config.manager.mode = is_hybrid(config_.design)
                                      ? store::StorageMode::kHybrid
                                      : store::StorageMode::kInMemory;
     server_config.manager.io_policy = io_policy(config_.design);
-    server_config.manager.adaptive_threshold = config_.adaptive_threshold;
-    server_config.manager.promote_on_hit = config_.promote_on_hit;
     // H-RDMA-Def swaps SSD-resident items back into RAM on access
     // (Ouyang'12 semantics); the optimised designs promote opportunistically.
     server_config.manager.force_promote = config_.design == Design::kHRdmaDef;
-    server_config.manager.shards = config_.shards;
-    server_config.manager.modelled_op_cost = config_.store_op_cost;
-    server_config.manager.ssd_limit = per_server_ssd;
-    server_config.manager.slab.slab_bytes = config_.slab_bytes;
     server_config.manager.slab.memory_limit = per_server_memory;
-    server_config.manager.flush_batch_bytes = config_.slab_bytes;
-    server_config.manager.degrade_after_io_errors =
-        config_.degrade_after_io_errors;
-    server_config.manager.heal_probe_after = config_.heal_probe_after;
+    server_config.manager.ssd_limit = per_server_ssd;
 
     servers_.push_back(std::make_unique<server::MemcachedServer>(
         *fabric_, server_config, stack));

@@ -31,19 +31,18 @@ struct TestBedConfig {
   /// the database (see client::BackendDb).
   client::BackendDb::Resolver backend_resolver = nullptr;
 
-  std::size_t slab_bytes = std::size_t{1} << 20;
-  std::size_t adaptive_threshold = std::size_t{64} << 10;
-  bool promote_on_hit = true;
-  /// Store shards per server (power of two; 0 = auto ~2x hardware threads).
-  /// Default 1 reproduces the paper's single-instance slab manager; the
-  /// shard-scaling ablation and stress tests raise it explicitly.
-  unsigned shards = 1;
-  unsigned processing_threads = 1;
-  /// Modelled under-lock CPU cost per store op (see ManagerConfig). The
-  /// overload ablation uses it for a deterministic, host-independent
-  /// saturation point; 0 (default) leaves the store untouched.
-  sim::Nanos store_op_cost{0};
-  std::size_t server_buffer_slots = 16;
+  /// Template every server is built from. TestBed copies it once per
+  /// server and then sets only the fields it owns:
+  /// - `name`;
+  /// - `async_processing`, `manager.mode`, `manager.io_policy` and
+  ///   `manager.force_promote`, from `design`;
+  /// - `manager.slab.memory_limit` and `manager.ssd_limit`, split evenly
+  ///   from total_server_memory and total_ssd_limit.
+  /// Every other field reaches each server as set here. The default keeps
+  /// one store shard, the paper's single slab manager (ManagerConfig's own
+  /// default, 0, picks a count from the host's cores).
+  server::ServerConfig server{.manager{.shards = 1}};
+
   std::size_t client_bounce_slots = 16;
   std::size_t client_bounce_slot_bytes = std::size_t{1} << 20;
 
@@ -53,28 +52,18 @@ struct TestBedConfig {
   net::FaultProfile fabric_faults = net::FaultProfile::none();
   /// Transient SSD I/O errors on every hybrid server's device.
   ssd::SsdFaultProfile ssd_faults{};
-  /// Per-server degraded-mode thresholds (see store::ManagerConfig).
-  unsigned degrade_after_io_errors = 3;
-  sim::Nanos heal_probe_after = sim::ms(50);
   /// Client failure policy handed to every make_client() (0 = no deadlines).
   sim::Nanos client_op_deadline{0};
   unsigned client_max_retries = 2;
   client::FailoverPolicy client_failover{};
 
   // ---- Overload control (DESIGN.md §8; all default-off) ----
-  /// Server admission bounds (async designs; see server::ServerConfig).
-  std::size_t server_max_inflight = 0;
-  std::size_t server_admission_queue_limit = 0;
   /// Client-side overload knobs handed to every make_client().
   std::uint64_t client_retry_budget = 0;
   std::size_t client_max_pending_per_server = 0;
   bool client_propagate_deadline = false;
 
-  // ---- Observability (DESIGN.md §10; see server::ServerConfig) ----
-  /// Per-server latency histograms (`stats latency`); on by default.
-  bool server_record_latency = true;
-  /// Sampled op tracing shift handed to every server (0 = off).
-  unsigned server_trace_sample_shift = 0;
+  // ---- Observability (DESIGN.md §10) ----
   /// Client-side issue->complete histograms handed to every make_client().
   bool client_record_latency = true;
 

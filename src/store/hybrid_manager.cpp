@@ -183,7 +183,7 @@ bool HybridSlabManager::do_flush_batch(unsigned cls) {
     std::uint32_t record_offset;
   };
   std::vector<char> staging;
-  staging.reserve(config_.flush_batch_bytes);
+  staging.reserve(config_.slab.slab_bytes);
   std::vector<Victim> victims;
   std::vector<std::shared_ptr<SsdRecord>> records;
 
@@ -192,7 +192,7 @@ bool HybridSlabManager::do_flush_batch(unsigned cls) {
     const std::size_t rec_size =
         SsdItemFraming::record_size(item->key_len, item->value_len);
     if (!victims.empty() &&
-        staging.size() + rec_size > config_.flush_batch_bytes) {
+        staging.size() + rec_size > config_.slab.slab_bytes) {
       break;
     }
     const auto offset = static_cast<std::uint32_t>(staging.size());

@@ -65,8 +65,6 @@ struct ManagerConfig {
   /// so cold Gets pay allocation churn on top of the SSD read. The optimised
   /// designs promote opportunistically instead (promote_on_hit only).
   bool force_promote = false;
-  /// Max bytes serialised per flush (one slab page by default).
-  std::size_t flush_batch_bytes = std::size_t{1} << 20;
   /// Degraded (RAM-only) mode: after this many *consecutive* SSD I/O errors
   /// the manager stops flushing and evicts like the in-memory design --
   /// better to lose cold cache entries than to wedge every Set behind a
@@ -278,7 +276,7 @@ class HybridSlabManager {
   /// return -- the analysis checks this through the direct unlock/lock).
   char* allocate_with_reclaim(unsigned cls) REQUIRES(mu_);
 
-  /// Flushes up to flush_batch_bytes of LRU-tail items of `cls` to the SSD.
+  /// Flushes up to one slab page of LRU-tail items of `cls` to the SSD.
   /// Returns false if the class had nothing to flush. Lock juggling as above.
   /// flush_batch is the recording wrapper (Span::kSsdFlush); do_flush_batch
   /// does the work.

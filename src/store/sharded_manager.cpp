@@ -43,7 +43,7 @@ ShardedManager::ShardedManager(ManagerConfig config, ssd::StorageStack* storage)
                                          config.slab.slab_bytes);
   if (config.ssd_limit != 0) {
     per_shard.ssd_limit =
-        std::max<std::size_t>(config.ssd_limit / n, config.flush_batch_bytes);
+        std::max<std::size_t>(config.ssd_limit / n, config.slab.slab_bytes);
   }
   shards_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {

@@ -227,7 +227,6 @@ TEST_F(ChaosTest, SsdOutageDegradesToRamOnlyAndHeals) {
   cfg.mode = store::StorageMode::kHybrid;
   cfg.slab.slab_bytes = 64 << 10;
   cfg.slab.memory_limit = 256 << 10;  // tiny RAM: flushes start immediately
-  cfg.flush_batch_bytes = 64 << 10;
   cfg.degrade_after_io_errors = 2;
   cfg.heal_probe_after = sim::ms(20);
   store::HybridSlabManager manager(cfg, &stack);
@@ -277,14 +276,14 @@ TEST_F(ChaosTest, FullStackChaosEveryRequestCompletes) {
   cfg.design = Design::kHRdmaOptBlock;
   cfg.num_servers = 2;
   cfg.total_server_memory = 512 << 10;  // 256 KiB/server: force SSD overflow
-  cfg.slab_bytes = 64 << 10;
+  cfg.server.manager.slab.slab_bytes = 64 << 10;
   cfg.fabric_faults.drop_rate = 0.01;
   cfg.fabric_faults.duplicate_rate = 0.005;
   cfg.fabric_faults.seed = 42;
   cfg.ssd_faults.error_rate = 0.005;
   cfg.ssd_faults.seed = 42;
-  cfg.degrade_after_io_errors = 3;
-  cfg.heal_probe_after = sim::ms(20);
+  cfg.server.manager.degrade_after_io_errors = 3;
+  cfg.server.manager.heal_probe_after = sim::ms(20);
   cfg.client_op_deadline = sim::ms(150);
   cfg.client_max_retries = 2;
   cfg.client_failover.eject_after = 3;
@@ -348,16 +347,16 @@ TEST_F(ChaosTest, ShardedStoreSurvivesFullStackChaos) {
   TestBedConfig cfg;
   cfg.design = Design::kHRdmaOptNonbI;
   cfg.num_servers = 2;
-  cfg.shards = 4;
-  cfg.processing_threads = 2;
+  cfg.server.manager.shards = 4;
+  cfg.server.processing_threads = 2;
   cfg.total_server_memory = 4 << 20;  // 2 MiB/server over 4 shards
-  cfg.slab_bytes = 64 << 10;
+  cfg.server.manager.slab.slab_bytes = 64 << 10;
   cfg.fabric_faults.drop_rate = 0.01;
   cfg.fabric_faults.seed = 7;
   cfg.ssd_faults.error_rate = 0.01;
   cfg.ssd_faults.seed = 7;
-  cfg.degrade_after_io_errors = 2;
-  cfg.heal_probe_after = sim::ms(20);
+  cfg.server.manager.degrade_after_io_errors = 2;
+  cfg.server.manager.heal_probe_after = sim::ms(20);
   cfg.client_op_deadline = sim::ms(150);
   cfg.client_max_retries = 2;
   TestBed bed(cfg);

@@ -39,7 +39,7 @@ class BatchTest : public ::testing::Test {
     TestBedConfig cfg;
     cfg.design = design;
     cfg.total_server_memory = 8 << 20;
-    cfg.slab_bytes = 256 << 10;
+    cfg.server.manager.slab.slab_bytes = 256 << 10;
     return cfg;
   }
 };
@@ -209,7 +209,7 @@ TEST_F(BatchTest, MalformedBatchFramesAnswerInvalidArgumentNotCrash) {
 
 TEST_F(BatchTest, SampledOpInsideBatchFrameIsTraced) {
   TestBedConfig cfg = small_bed(Design::kRdmaMem);
-  cfg.server_trace_sample_shift = 1;  // trace every 2nd op
+  cfg.server.trace_sample_shift = 1;  // trace every 2nd op
   TestBed bed(cfg);
   auto raw = bed.fabric().create_endpoint("raw-client");
 
@@ -343,7 +343,7 @@ TEST_F(BatchTest, MgetStatusDistinguishesMissFromInvalidKey) {
 
 TEST_F(BatchTest, TypedStatsKindsSelectTheThreeSurfaces) {
   TestBedConfig cfg = small_bed(Design::kRdmaMem);
-  cfg.server_trace_sample_shift = 1;
+  cfg.server.trace_sample_shift = 1;
   TestBed bed(cfg);
   auto client = bed.make_client("c0");
   ASSERT_EQ(client->set("sk", make_value(1, 64)), StatusCode::kOk);

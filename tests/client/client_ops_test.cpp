@@ -34,7 +34,7 @@ class ClientOpsTest : public ::testing::Test {
     TestBedConfig cfg;
     cfg.design = design;
     cfg.total_server_memory = 8 << 20;
-    cfg.slab_bytes = 256 << 10;
+    cfg.server.manager.slab.slab_bytes = 256 << 10;
     return cfg;
   }
 
@@ -122,6 +122,31 @@ TEST_F(ClientOpsTest, StatsTextReportsCounters) {
   EXPECT_NE(stats.value().find("gets 1"), std::string::npos);
   EXPECT_NE(stats.value().find("items 1"), std::string::npos);
   EXPECT_EQ(client->stats_text(99, client::StatsKind::kCounters).status(), StatusCode::kInvalidArgument);
+}
+
+// set stores a value larger than a bounce slot through a private copy; the
+// blocking reads must fetch such a value back instead of failing with
+// kBufferTooSmall.
+TEST_F(ClientOpsTest, BlockingReadsFetchRepliesLargerThanABounceSlot) {
+  TestBedConfig cfg = small_bed(Design::kRdmaMem);
+  cfg.client_bounce_slot_bytes = 1024;
+  TestBed bed(cfg);
+  auto client = bed.make_client("c");
+  // Each read below needs more room than the one before it.
+  const auto latency = client->stats_text(0, client::StatsKind::kLatency);
+  ASSERT_TRUE(latency.ok());
+  EXPECT_GT(latency.value().size(), cfg.client_bounce_slot_bytes);
+
+  const std::vector<char> big = make_value(7, 8 << 10);
+  ASSERT_EQ(client->set("big", big), StatusCode::kOk);
+  std::vector<char> out;
+  ASSERT_EQ(client->get("big", out), StatusCode::kOk);
+  EXPECT_EQ(out, big);
+  out.clear();
+  std::uint64_t token = 0;
+  ASSERT_EQ(client->gets("big", out, nullptr, &token), StatusCode::kOk);
+  EXPECT_EQ(out, big);
+  EXPECT_NE(token, 0u);
 }
 
 TEST_F(ClientOpsTest, NonblockingIssuedCountsOnlyTheApplicationsOwnCalls) {

@@ -33,7 +33,7 @@ class ClientServerTest : public ::testing::Test {
     TestBedConfig cfg;
     cfg.design = design;
     cfg.total_server_memory = 8 << 20;
-    cfg.slab_bytes = 256 << 10;
+    cfg.server.manager.slab.slab_bytes = 256 << 10;
     return cfg;
   }
 };

@@ -46,7 +46,7 @@ TEST_P(OrderingTest, BlockingSetNeverOvertakesQueuedIsets) {
   TestBedConfig cfg;
   cfg.design = Design::kIpoibMem;
   cfg.total_server_memory = 8 << 20;
-  cfg.slab_bytes = 256 << 10;
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
   cfg.client_batch_max_ops = GetParam();
   TestBed bed(cfg);
   auto client = bed.make_client("c0");
@@ -96,7 +96,7 @@ TEST_P(OrderingTest, TimedOutQueuedSetNeverCarriesTheNextSetsBytes) {
   TestBedConfig cfg;
   cfg.design = Design::kIpoibMem;
   cfg.total_server_memory = 8 << 20;
-  cfg.slab_bytes = 256 << 10;
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
   cfg.client_batch_max_ops = GetParam();
   cfg.client_bounce_slots = 1;
   cfg.client_op_deadline = sim::us(100);

@@ -58,7 +58,7 @@ TEST_P(TestBedAllDesigns, SmokeSetGet) {
   TestBedConfig cfg;
   cfg.design = GetParam();
   cfg.total_server_memory = 8 << 20;
-  cfg.slab_bytes = 256 << 10;
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
   TestBed bed(cfg);
   EXPECT_EQ(bed.design(), GetParam());
   EXPECT_EQ(bed.num_servers(), 1u);
@@ -96,13 +96,43 @@ TEST(TestBedTest, MultiServerSplitsMemoryAndSsd) {
   cfg.num_servers = 4;
   cfg.total_server_memory = 16 << 20;
   cfg.total_ssd_limit = 64 << 20;
-  cfg.slab_bytes = 256 << 10;
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
   TestBed bed(cfg);
   EXPECT_EQ(bed.num_servers(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     const auto& manager_cfg = bed.server(i).manager().config();
     EXPECT_EQ(manager_cfg.slab.memory_limit, 4u << 20);
     EXPECT_EQ(manager_cfg.ssd_limit, 16u << 20);
+  }
+}
+
+// A default bed builds the paper's single slab manager per server, not
+// ManagerConfig's auto shard count; fields set on the server template reach
+// every server, apart from the ones the bed owns.
+TEST(TestBedTest, ServerTemplateDefaultsToOneShardAndReachesEveryServer) {
+  sim::ScopedTimeScale scale(0.02);
+  {
+    TestBed bed{TestBedConfig{}};
+    auto client = bed.make_client("c");
+    const auto stats = client->stats_text(0, client::StatsKind::kCounters);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_NE(stats.value().find("\nshards 1\n"), std::string::npos)
+        << stats.value();
+  }
+  TestBedConfig cfg;
+  cfg.num_servers = 2;
+  cfg.total_server_memory = 16 << 20;
+  cfg.server.name = "overridden by the bed";
+  cfg.server.trace_sample_shift = 3;
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
+  TestBed bed(cfg);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(bed.server(i).name(), "RDMA-Mem-server-" + std::to_string(i));
+    ASSERT_NE(bed.server(i).tracer(), nullptr);
+    EXPECT_EQ(bed.server(i).tracer()->sample_shift(), 3u);
+    const auto& manager_cfg = bed.server(i).manager().config();
+    EXPECT_EQ(manager_cfg.slab.slab_bytes, 256u << 10);
+    EXPECT_EQ(manager_cfg.slab.memory_limit, 8u << 20);
   }
 }
 
@@ -134,18 +164,18 @@ TEST(TestBedTest, ResetMetricsClearsServerSide) {
 TEST(TestBedTest, BenchStageDerivationSeesFlushLoadAndMissPenalty) {
   bench::Scenario s;
   s.data_ratio = 1.5;
-  s.total_memory = 8 << 20;
+  s.bed.total_server_memory = 8 << 20;
   s.value_bytes = 8 << 10;
   s.operations = 200;
   s.pattern = workload::Pattern::kUniform;
 
-  s.design = Design::kHRdmaDef;
+  s.bed.design = Design::kHRdmaDef;
   const bench::Outcome def = bench::run_scenario(s);
   EXPECT_GT(def.store.flushes, 0u);
   EXPECT_GT(def.server_us(metrics::Span::kSlabAllocation), 0.0);
   EXPECT_GT(def.server_us(metrics::Span::kCacheCheckLoad), 0.0);
 
-  s.design = Design::kRdmaMem;
+  s.bed.design = Design::kRdmaMem;
   const bench::Outcome mem = bench::run_scenario(s);
   EXPECT_GT(mem.backend_fetches, 0u);
   EXPECT_GT(mem.client_us(metrics::Span::kMissPenalty), 0.0);

@@ -335,8 +335,8 @@ TEST_P(OverloadAdmissionTest, AsyncAdmissionShedsBurstWithBusy) {
   TestBedConfig cfg;
   cfg.design = Design::kHRdmaOptNonbI;
   cfg.total_server_memory = 32 << 20;
-  cfg.processing_threads = 1;
-  cfg.server_admission_queue_limit = 1;  // shed whenever one request waits
+  cfg.server.processing_threads = 1;
+  cfg.server.admission_queue_limit = 1;  // shed whenever one request waits
   cfg.client_batch_max_ops = GetParam();
   TestBed bed(cfg);
   auto client = bed.make_client("burster");
@@ -400,7 +400,7 @@ TEST_F(OverloadTest, DefaultAsyncServerNeverSheds) {
   TestBedConfig cfg;
   cfg.design = Design::kHRdmaOptNonbI;
   cfg.total_server_memory = 32 << 20;
-  cfg.processing_threads = 1;
+  cfg.server.processing_threads = 1;
   TestBed bed(cfg);
   auto client = bed.make_client("burster");
 

@@ -31,8 +31,8 @@ TEST_F(ServerAsyncTest, TinyBufferPoolStillCompletesFloods) {
   TestBedConfig cfg;
   cfg.design = Design::kHRdmaOptNonbI;
   cfg.total_server_memory = 8 << 20;
-  cfg.slab_bytes = 256 << 10;
-  cfg.server_buffer_slots = 2;  // aggressive backpressure
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
+  cfg.server.request_buffer_slots = 2;  // aggressive backpressure
   TestBed bed(cfg);
   auto client = bed.make_client("flood");
 
@@ -64,8 +64,8 @@ TEST_F(ServerAsyncTest, MultipleWorkersPreserveCorrectness) {
   TestBedConfig cfg;
   cfg.design = Design::kHRdmaOptNonbB;
   cfg.total_server_memory = 4 << 20;  // forces SSD traffic too
-  cfg.slab_bytes = 256 << 10;
-  cfg.processing_threads = 3;
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
+  cfg.server.processing_threads = 3;
   TestBed bed(cfg);
   auto client = bed.make_client("c");
 
@@ -89,8 +89,8 @@ TEST_F(ServerAsyncTest, StopWhileFloodedShutsDownCleanly) {
   TestBedConfig cfg;
   cfg.design = Design::kHRdmaOptNonbI;
   cfg.total_server_memory = 8 << 20;
-  cfg.slab_bytes = 256 << 10;
-  cfg.server_buffer_slots = 4;
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
+  cfg.server.request_buffer_slots = 4;
   TestBed bed(cfg);
   auto client = bed.make_client("c");
   std::vector<std::vector<char>> values;

@@ -272,7 +272,7 @@ TEST_F(ServerStatsE2eTest, AsyncWorkersBalanceAcrossMetricSlots) {
   TestBedConfig cfg;
   cfg.design = Design::kHRdmaOptNonbI;
   cfg.total_server_memory = 8 << 20;
-  cfg.processing_threads = 2;
+  cfg.server.processing_threads = 2;
   TestBed bed(cfg);
   auto client = bed.make_client("c");
 
@@ -380,7 +380,7 @@ TEST_F(ServerStatsE2eTest, LegacyStatsBytesIdenticalWithRecordingOnAndOff) {
     TestBedConfig cfg;
     cfg.design = Design::kRdmaMem;
     cfg.total_server_memory = 8 << 20;
-    cfg.server_record_latency = record_latency;
+    cfg.server.record_latency = record_latency;
     TestBed bed(cfg);
     auto client = bed.make_client("c");
     const std::string value = "v";
@@ -404,7 +404,7 @@ TEST_F(ServerStatsE2eTest, LatencyQueryReportsRecordingOffWhenDisabled) {
   TestBedConfig cfg;
   cfg.design = Design::kRdmaMem;
   cfg.total_server_memory = 8 << 20;
-  cfg.server_record_latency = false;
+  cfg.server.record_latency = false;
   TestBed bed(cfg);
   auto client = bed.make_client("c");
   const auto text = client->stats_text(0, client::StatsKind::kLatency);
@@ -416,7 +416,7 @@ TEST_F(ServerStatsE2eTest, TraceSubcommandReturnsSampledTimelines) {
   TestBedConfig cfg;
   cfg.design = Design::kRdmaMem;
   cfg.total_server_memory = 8 << 20;
-  cfg.server_trace_sample_shift = 1;  // trace every 2nd request
+  cfg.server.trace_sample_shift = 1;  // trace every 2nd request
   TestBed bed(cfg);
   auto client = bed.make_client("c");
 

@@ -26,7 +26,6 @@ ManagerConfig base_config(StorageMode mode) {
   cfg.mode = mode;
   cfg.slab.slab_bytes = 256 << 10;
   cfg.slab.memory_limit = 2 << 20;  // 2 MB RAM
-  cfg.flush_batch_bytes = 256 << 10;
   return cfg;
 }
 

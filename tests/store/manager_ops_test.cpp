@@ -25,7 +25,6 @@ ManagerConfig config(StorageMode mode) {
   cfg.mode = mode;
   cfg.slab.slab_bytes = 256 << 10;
   cfg.slab.memory_limit = 2 << 20;
-  cfg.flush_batch_bytes = 256 << 10;
   return cfg;
 }
 

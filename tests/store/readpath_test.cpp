@@ -46,7 +46,6 @@ ManagerConfig small_config(StorageMode mode, bool optimistic) {
   cfg.slab.slab_bytes = 64 << 10;
   cfg.slab.memory_limit = 512 << 10;  // tiny RAM: constant eviction/flush
   cfg.slab.min_chunk = 64;
-  cfg.flush_batch_bytes = 64 << 10;
   cfg.optimistic_reads = optimistic;
   return cfg;
 }

@@ -26,7 +26,6 @@ ManagerConfig base_config(StorageMode mode, unsigned shards) {
   cfg.slab.slab_bytes = 64 << 10;
   cfg.slab.memory_limit = 8 << 20;
   cfg.slab.min_chunk = 64;
-  cfg.flush_batch_bytes = 64 << 10;
   return cfg;
 }
 

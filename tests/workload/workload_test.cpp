@@ -16,7 +16,7 @@ TestBedConfig bed_config(Design design, std::size_t memory = 8 << 20) {
   TestBedConfig cfg;
   cfg.design = design;
   cfg.total_server_memory = memory;
-  cfg.slab_bytes = 256 << 10;
+  cfg.server.manager.slab.slab_bytes = 256 << 10;
   return cfg;
 }
 
