@@ -22,7 +22,6 @@
 #include <barrier>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -138,7 +137,7 @@ int main() {
   sim::init_precise_timing();
   bench::print_banner("Ablation: doorbell batching (batch_max_ops sweep)");
 
-  const bool smoke = std::getenv("HYKV_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench::smoke();
   const std::vector<unsigned> batches =
       smoke ? std::vector<unsigned>{1, 8} : std::vector<unsigned>{1, 4, 8, 16};
   const std::vector<std::size_t> values =

@@ -32,7 +32,6 @@
 // Headline criterion: <=2%. Emits BENCH_obs_overhead.json for tooling.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <string>
 #include <vector>
@@ -162,7 +161,7 @@ int main() {
   sim::init_precise_timing();
   bench::print_banner("Ablation: observability overhead (recording off/on/on+trace)");
 
-  const bool smoke = std::getenv("HYKV_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench::smoke();
   const std::uint64_t micro_iters = smoke ? 20000 : 2000000;
   const std::uint64_t ops_per_rep = smoke ? 300 : 30000;
   const unsigned reps = smoke ? 2 : 5;

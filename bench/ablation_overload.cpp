@@ -285,7 +285,7 @@ int main() {
   // intended, not news. HYKV_LOG still overrides.
   if (std::getenv("HYKV_LOG") == nullptr) set_log_level(LogLevel::kError);
 
-  const bool smoke = std::getenv("HYKV_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench::smoke();
   const std::uint64_t cal_ops = smoke ? 64 : 384;
   const std::uint64_t ops_per_driver = smoke ? 24 : 192;
 

@@ -19,7 +19,6 @@
 //
 // Emits BENCH_readpath.json next to the binary for tooling.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,7 +132,7 @@ int main() {
   bench::print_banner(
       "Ablation: optimistic vs locked read path (1 contended shard)");
 
-  const bool smoke = std::getenv("HYKV_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench::smoke();
   const std::uint64_t ops_per_thread = smoke ? 24 : 400;
   const sim::Nanos op_cost = sim::us(20);
 

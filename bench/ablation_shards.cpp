@@ -27,7 +27,6 @@
 // Emits BENCH_shard_scaling.json next to the binary for tooling.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,7 +153,7 @@ int main() {
   sim::init_precise_timing();
   bench::print_banner("Ablation: store shards x worker threads");
 
-  const bool smoke = std::getenv("HYKV_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench::smoke();
   const std::uint64_t modelled_ops = smoke ? 24 : 500;
   const std::uint64_t cpu_ops = smoke ? 200 : 50000;
   const sim::Nanos op_cost = sim::us(20);

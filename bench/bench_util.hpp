@@ -103,15 +103,14 @@ struct Outcome {
   }
 };
 
-/// Smoke mode (HYKV_BENCH_SMOKE=1, the `bench-smoke` ctest label): clamp op
-/// counts so every bench binary exercises its full pipeline in seconds. The
-/// printed figures are meaningless in this mode -- it exists to catch
-/// bit-rot, not to regenerate figures.
+/// Smoke mode (HYKV_BENCH_SMOKE=1, the `bench-smoke` ctest label): every
+/// bench binary shrinks its op counts to exercise its full pipeline in
+/// seconds. The printed figures are meaningless in this mode -- it exists
+/// to catch bit-rot, not to regenerate figures.
+inline bool smoke() { return std::getenv("HYKV_BENCH_SMOKE") != nullptr; }
+
 inline std::uint64_t smoke_clamped_ops(std::uint64_t operations) {
-  if (std::getenv("HYKV_BENCH_SMOKE") != nullptr) {
-    return std::min<std::uint64_t>(operations, 96);
-  }
-  return operations;
+  return smoke() ? std::min<std::uint64_t>(operations, 96) : operations;
 }
 
 inline Outcome run_scenario(const Scenario& s) {

@@ -16,15 +16,8 @@ int main() {
   sim::init_precise_timing();
   print_banner("Figure 7(b): latency vs key-value size (hybrid, 1.5x data)");
 
-  const core::Design designs[] = {
-      core::Design::kHRdmaDef,
-      core::Design::kHRdmaOptBlock,
-      core::Design::kHRdmaOptNonbB,
-      core::Design::kHRdmaOptNonbI,
-  };
-
   std::printf("  %8s", "KV size");
-  for (const auto design : designs) {
+  for (const auto design : core::kHybridDesigns) {
     std::printf(" %18s", std::string(to_string(design)).c_str());
   }
   std::printf("   [avg us/op]\n");
@@ -35,7 +28,7 @@ int main() {
     std::printf("  %7zuK", size >> 10);
     double latencies[4] = {0, 0, 0, 0};
     int column = 0;
-    for (const auto design : designs) {
+    for (const auto design : core::kHybridDesigns) {
       Scenario s;
       s.bed.design = design;
       s.data_ratio = 1.5;

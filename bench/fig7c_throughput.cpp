@@ -16,19 +16,12 @@ int main() {
   sim::init_precise_timing();
   print_banner("Figure 7(c): aggregated throughput, 4-server hybrid cluster");
 
-  const core::Design designs[] = {
-      core::Design::kHRdmaDef,
-      core::Design::kHRdmaOptBlock,
-      core::Design::kHRdmaOptNonbB,
-      core::Design::kHRdmaOptNonbI,
-  };
-
   constexpr unsigned kClients = 8;
   std::printf("  clients=%u, servers=4, 8KB values, 2x data:RAM, Zipf 50:50\n\n",
               kClients);
   std::printf("  %-18s %14s %12s\n", "design", "kops/s", "vs Def");
   double def_kops = 0.0;
-  for (const auto design : designs) {
+  for (const auto design : core::kHybridDesigns) {
     Scenario s;
     s.bed.design = design;
     s.bed.num_servers = 4;

@@ -15,18 +15,11 @@ int main() {
   sim::init_precise_timing();
   print_banner("Figure 8(a): SATA vs NVMe, read-only and write-heavy");
 
-  const core::Design designs[] = {
-      core::Design::kHRdmaDef,
-      core::Design::kHRdmaOptBlock,
-      core::Design::kHRdmaOptNonbB,
-      core::Design::kHRdmaOptNonbI,
-  };
-
   for (const auto& ssd : {SsdProfile::sata(), SsdProfile::nvme()}) {
     std::printf("%s   [avg us/op]\n", ssd.name.c_str());
     std::printf("  %-18s %14s %18s\n", "design", "read-only", "write-heavy(50:50)");
     double def_latency[2] = {0, 0};
-    for (const auto design : designs) {
+    for (const auto design : core::kHybridDesigns) {
       double lat[2] = {0, 0};
       int i = 0;
       for (const double read_fraction : {1.0, 0.5}) {

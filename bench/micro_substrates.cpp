@@ -72,17 +72,20 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
+/// Encode + decode of one request: a GET (arg 0) or a SET of that many
+/// value bytes.
 void BM_ProtocolSetCodec(benchmark::State& state) {
   const auto value = make_value(2, static_cast<std::size_t>(state.range(0)));
+  const std::uint16_t opcode = value.empty() ? server::kOpGet : server::kOpSet;
   for (auto _ : state) {
-    const auto wire = server::encode_set(
-        {.key = "key-0000000000000001", .value = value, .flags = 1, .expiration = 0});
-    benchmark::DoNotOptimize(server::decode_set(wire));
+    const auto wire = server::encode_request(
+        {.key = "key-0000000000000001", .value = value, .flags = 1});
+    benchmark::DoNotOptimize(server::decode_request(opcode, wire));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_ProtocolSetCodec)->Arg(1024)->Arg(32768);
+BENCHMARK(BM_ProtocolSetCodec)->Arg(0)->Arg(1024)->Arg(32768);
 
 void BM_FabricSendRecv(benchmark::State& state) {
   sim::set_time_scale(0.0);  // code cost only

@@ -76,16 +76,9 @@ void Client::complete_all_pending(StatusCode status) {
 }
 
 void Client::tx_main() {
-  // Request-frame bytes a job contributes to a coalesced run. A Get's value
-  // span is the caller's *destination* buffer (kept for engine-side
-  // registration modelling), not request payload -- only the key travels in
-  // the frame, so counting the dest would veto coalescing for any Get whose
-  // buffer exceeds kBatchMaxBytes.
+  // Request-frame bytes a job contributes to a coalesced run.
   const auto wire_payload_bytes = [](const TxJob& job) {
-    if (job.opcode == Opcode::kOpGet || job.opcode == Opcode::kOpGets) {
-      return job.key.size();
-    }
-    return job.key.size() + job.value.size();
+    return job.op.key.size() + job.op.value.size();
   };
   // Doorbell batching (DESIGN.md §12): after the blocking pop, the engine
   // opportunistically drains whatever else is already queued and coalesces
@@ -130,59 +123,39 @@ void Client::tx_main() {
   }
 }
 
-std::vector<char> Client::encode_job(const TxJob& job) const {
-  switch (job.opcode) {
-    case Opcode::kOpSet:
-    case Opcode::kOpAdd:
-    case Opcode::kOpReplace:
-    case Opcode::kOpAppend:
-    case Opcode::kOpPrepend:
-      // The value span is read *here*, on the engine thread for an iset --
-      // this is the zero-copy hazard window the iset documentation warns
-      // about.
-      return server::encode_set(server::SetRequest{
-          .key = job.key,
-          .value = job.value,
-          .flags = job.flags,
-          .expiration = job.expiration,
-      });
-    case Opcode::kOpGet:
-    case Opcode::kOpGets:
-    case Opcode::kOpDelete:
-      return server::encode_key_request(job.key);
-    case Opcode::kOpIncr:
-    case Opcode::kOpDecr:
-      return server::encode_counter(job.key,
-                                    static_cast<std::uint64_t>(job.expiration));
-    case Opcode::kOpTouch:
-      return server::encode_touch(job.key, job.expiration);
-    case Opcode::kOpCas:
-      return server::encode_cas(server::CasRequest{
-          .key = job.key,
-          .value = job.value,
-          .flags = job.flags,
-          .expiration = job.expiration,
-          .cas = job.cas_token,
-      });
-    case Opcode::kOpStats:
-      // Subcommand bytes ride in job.key ("" = legacy counter text).
-      return {job.key.begin(), job.key.end()};
-    default:
-      return {};  // kOpFlushAll: empty payload
-  }
+Client::TxJob Client::make_job(std::uint16_t opcode, net::EndpointId server,
+                               const server::OpRequest& op,
+                               std::span<char> dest) {
+  TxJob job;
+  job.opcode = opcode;
+  job.server = server;
+  job.dest = dest;
+  job.owned.reserve(op.key.size() + op.value.size());
+  job.owned.insert(job.owned.end(), op.key.begin(), op.key.end());
+  job.owned.insert(job.owned.end(), op.value.begin(), op.value.end());
+  job.op = op;
+  job.op.key = std::string_view(job.owned.data(), op.key.size());
+  job.op.value = std::span<const char>(job.owned).subspan(op.key.size());
+  return job;
 }
 
 void Client::post(std::span<const TxJob> run) {
   server::RequestWriter frame(run.size());
   for (const TxJob& job : run) {
-    // Model the engine-side registration of each op's source/destination
-    // buffer (the registration cache makes repeats nearly free): a batch
-    // frame amortises only the per-message costs.
-    if (!job.value.empty()) {
-      endpoint_->register_memory(const_cast<char*>(job.value.data()),
-                                 job.value.size());
+    // Model the engine-side registration of each op's source and
+    // destination buffers (the registration cache makes repeats nearly
+    // free): a batch frame amortises only the per-message costs.
+    const std::span<const char> buffers[] = {job.op.value, job.dest};
+    for (const std::span<const char> buffer : buffers) {
+      if (!buffer.empty()) {
+        endpoint_->register_memory(const_cast<char*>(buffer.data()),
+                                   buffer.size());
+      }
     }
-    frame.add(job.opcode, job.wr_id, job.deadline_ns, encode_job(job));
+    // The value is read here, on the engine thread for an iset: this is
+    // the zero-copy hazard window the iset documentation warns about.
+    frame.add(job.opcode, job.wr_id, job.deadline_ns,
+              server::encode_request(job.op));
   }
   if (run.size() > 1) {
     // Count before posting: once the frame is on the wire its ops can
@@ -305,8 +278,8 @@ void Client::signal_sent(std::uint64_t wr_id) {
 }
 
 StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
-                         std::span<char> dest, Post how) {
-  req.reset(dest);
+                         Post how) {
+  req.reset(job.dest);
   req.server_ = job.server;
   req.opcode_ = job.opcode;
   // Latency stamp before the request becomes reachable from the pending map
@@ -382,29 +355,26 @@ StatusCode Client::iset(std::string_view key, std::span<const char> value,
                         Request& req) {
   if (key.empty()) return StatusCode::kInvalidArgument;
   counters_.add(&ClientCounters::nonblocking_issued);
-  TxJob job;
-  job.opcode = Opcode::kOpSet;
-  job.server = ring_.select(key);
-  job.key = std::string(key);
-  job.value = value;  // zero copy: user must not touch until completion
-  job.flags = flags;
-  job.expiration = expiration;
-  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/false, {},
+  TxJob job = make_job(Opcode::kOpSet, ring_.select(key),
+                       {.key = key, .flags = flags, .expiration = expiration});
+  job.op.value = value;  // zero copy: user must not touch until completion
+  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/false,
                Post::kQueued);
 }
 
 StatusCode Client::start_set(std::string_view key, std::span<const char> value,
                              std::uint32_t flags, std::int64_t expiration,
                              Request& req) {
-  TxJob job;
-  job.opcode = Opcode::kOpSet;
-  job.server = ring_.select(key);
-  job.key = std::string(key);
-  job.flags = flags;
-  job.expiration = expiration;
-
+  // A value too large for the pool falls back to a private copy in the job
+  // (cold registration will be paid by whichever thread posts it).
+  const bool staged = value.size() <= config_.bounce_slot_bytes;
+  TxJob job = make_job(Opcode::kOpSet, ring_.select(key),
+                       {.key = key,
+                        .value = staged ? std::span<const char>{} : value,
+                        .flags = flags,
+                        .expiration = expiration});
   int slot = -1;
-  if (value.size() <= config_.bounce_slot_bytes) {
+  if (staged) {
     // Acquire a pre-registered bounce slot; blocks while the pool is fully
     // in flight (this is the bounded-outstanding-writes backpressure).
     const auto acquired = free_slots_.pop();
@@ -412,14 +382,9 @@ StatusCode Client::start_set(std::string_view key, std::span<const char> value,
     slot = *acquired;
     char* buffer = slots_[static_cast<std::size_t>(slot)].get();
     std::memcpy(buffer, value.data(), value.size());
-    job.value = std::span<const char>(buffer, value.size());
-  } else {
-    // Oversized for the pool: fall back to a private copy (cold
-    // registration will be paid by whichever thread posts it).
-    job.owned_value.assign(value.begin(), value.end());
-    job.value = job.owned_value;
+    job.op.value = std::span<const char>(buffer, value.size());
   }
-  const StatusCode code = issue(std::move(job), req, slot, /*is_get=*/false, {});
+  const StatusCode code = issue(std::move(job), req, slot, /*is_get=*/false);
   if (!ok(code)) {
     if (slot >= 0) free_slots_.push(slot);
     return code;
@@ -442,13 +407,8 @@ StatusCode Client::bset(std::string_view key, std::span<const char> value,
 
 StatusCode Client::start_get(std::string_view key, std::span<char> dest,
                              Request& req, Post how) {
-  TxJob job;
-  job.opcode = Opcode::kOpGet;
-  job.server = ring_.select(key);
-  job.key = std::string(key);
-  // Destination registration is modelled via the value span (engine-side).
-  job.value = std::span<const char>(dest.data(), dest.size());
-  return issue(std::move(job), req, /*slot=*/-1, /*is_get=*/true, dest, how);
+  return issue(make_job(Opcode::kOpGet, ring_.select(key), {.key = key}, dest),
+               req, /*slot=*/-1, /*is_get=*/true, how);
 }
 
 StatusCode Client::iget(std::string_view key, std::span<char> dest, Request& req) {
@@ -573,7 +533,7 @@ StatusCode Client::get(std::string_view key, std::vector<char>& out,
   if (key.empty()) return StatusCode::kInvalidArgument;
   Request req;
   const StatusCode code = run_into_scratch(
-      req, [&](Request& r) { return start_get(key, scratch_, r); });
+      req, attempt(Opcode::kOpGet, {.key = key}, /*into_scratch=*/true));
   counters_.add(&ClientCounters::gets);
   if (ok(code)) {
     out.assign(scratch_.begin(),
@@ -598,21 +558,26 @@ StatusCode Client::get(std::string_view key, std::vector<char>& out,
   return code;
 }
 
+std::function<StatusCode(Request&)> Client::attempt(std::uint16_t opcode,
+                                                   const server::OpRequest& op,
+                                                   bool into_scratch,
+                                                   net::EndpointId server) {
+  return [this, opcode, op, into_scratch, server](Request& req) {
+    const net::EndpointId target =
+        server != net::kInvalidEndpoint ? server : ring_.select(op.key);
+    return issue(make_job(opcode, target, op,
+                          into_scratch ? std::span<char>(scratch_)
+                                       : std::span<char>{}),
+                 req, /*slot=*/-1, /*is_get=*/into_scratch);
+  };
+}
+
 StatusCode Client::del(std::string_view key) {
   if (key.empty()) return StatusCode::kInvalidArgument;
   Request req;
-  // Delete is idempotent (deleting twice deletes once); the lambda rebuilds
-  // the job so a retry re-selects the server and can fail over.
+  // Delete is idempotent (deleting twice deletes once).
   const StatusCode code = run_attempts(
-      req,
-      [&](Request& r) {
-        TxJob job;
-        job.opcode = Opcode::kOpDelete;
-        job.server = ring_.select(key);
-        job.key = std::string(key);
-        return issue(std::move(job), r, -1, /*is_get=*/false, {});
-      },
-      /*idempotent=*/true);
+      req, attempt(Opcode::kOpDelete, {.key = key}), /*idempotent=*/true);
   counters_.add(&ClientCounters::deletes);
   return code;
 }
@@ -622,90 +587,69 @@ StatusCode Client::del(std::string_view key) {
 // double-apply (append twice, incr twice, add observing its own first
 // attempt). They get the deadline's termination guarantee but never retry.
 
-StatusCode Client::store_op(std::uint16_t opcode, std::string_view key,
-                            std::span<const char> value, std::uint32_t flags,
-                            std::int64_t expiration) {
-  if (key.empty()) return StatusCode::kInvalidArgument;
+StatusCode Client::store_op(std::uint16_t opcode, const server::OpRequest& op) {
+  if (op.key.empty()) return StatusCode::kInvalidArgument;
   Request req;
-  return run_attempts(
-      req,
-      [&](Request& r) {
-        TxJob job;
-        job.opcode = opcode;
-        job.server = ring_.select(key);
-        job.key = std::string(key);
-        job.owned_value.assign(value.begin(), value.end());
-        job.value = job.owned_value;
-        job.flags = flags;
-        job.expiration = expiration;
-        return issue(std::move(job), r, -1, false, {});
-      },
-      /*idempotent=*/false);
+  return run_attempts(req, attempt(opcode, op), /*idempotent=*/false);
 }
 
 StatusCode Client::add(std::string_view key, std::span<const char> value,
                        std::uint32_t flags, std::int64_t expiration) {
-  return store_op(Opcode::kOpAdd, key, value, flags, expiration);
+  return store_op(Opcode::kOpAdd, {.key = key,
+                                   .value = value,
+                                   .flags = flags,
+                                   .expiration = expiration});
 }
 
 StatusCode Client::replace(std::string_view key, std::span<const char> value,
                            std::uint32_t flags, std::int64_t expiration) {
-  return store_op(Opcode::kOpReplace, key, value, flags, expiration);
+  return store_op(Opcode::kOpReplace, {.key = key,
+                                       .value = value,
+                                       .flags = flags,
+                                       .expiration = expiration});
 }
 
 StatusCode Client::append(std::string_view key, std::span<const char> suffix) {
-  return store_op(Opcode::kOpAppend, key, suffix, 0, 0);
+  return store_op(Opcode::kOpAppend, {.key = key, .value = suffix});
 }
 
 StatusCode Client::prepend(std::string_view key, std::span<const char> prefix) {
-  return store_op(Opcode::kOpPrepend, key, prefix, 0, 0);
+  return store_op(Opcode::kOpPrepend, {.key = key, .value = prefix});
 }
 
-namespace {
-Result<std::uint64_t> parse_counter_response(const Request& req,
-                                             std::span<const char> scratch) {
-  if (!ok(req.status())) return req.status();
+StatusCode Client::cas(std::string_view key, std::span<const char> value,
+                       std::uint64_t cas_token, std::uint32_t flags,
+                       std::int64_t expiration) {
+  return store_op(Opcode::kOpCas, {.key = key,
+                                   .value = value,
+                                   .flags = flags,
+                                   .expiration = expiration,
+                                   .arg = cas_token});
+}
+
+Result<std::uint64_t> Client::counter_op(std::uint16_t opcode,
+                                         std::string_view key,
+                                         std::uint64_t delta) {
+  if (key.empty()) return StatusCode::kInvalidArgument;
+  Request req;
+  const StatusCode code =
+      run_attempts(req,
+                   attempt(opcode, {.key = key, .arg = delta},
+                           /*into_scratch=*/true),
+                   /*idempotent=*/false);
+  if (!ok(code)) return code;
   const auto value = server::decode_counter_value(
-      std::span<const char>(scratch.data(), req.value_length()));
+      std::span<const char>(scratch_.data(), req.value_length()));
   if (!value.has_value()) return StatusCode::kServerError;
   return *value;
 }
-}  // namespace
 
 Result<std::uint64_t> Client::incr(std::string_view key, std::uint64_t delta) {
-  if (key.empty()) return StatusCode::kInvalidArgument;
-  Request req;
-  const StatusCode code = run_attempts(
-      req,
-      [&](Request& r) {
-        TxJob job;
-        job.opcode = Opcode::kOpIncr;
-        job.server = ring_.select(key);
-        job.key = std::string(key);
-        job.expiration = static_cast<std::int64_t>(delta);  // in encoding
-        return issue(std::move(job), r, -1, true, scratch_);
-      },
-      /*idempotent=*/false);
-  if (!ok(code)) return code;
-  return parse_counter_response(req, scratch_);
+  return counter_op(Opcode::kOpIncr, key, delta);
 }
 
 Result<std::uint64_t> Client::decr(std::string_view key, std::uint64_t delta) {
-  if (key.empty()) return StatusCode::kInvalidArgument;
-  Request req;
-  const StatusCode code = run_attempts(
-      req,
-      [&](Request& r) {
-        TxJob job;
-        job.opcode = Opcode::kOpDecr;
-        job.server = ring_.select(key);
-        job.key = std::string(key);
-        job.expiration = static_cast<std::int64_t>(delta);
-        return issue(std::move(job), r, -1, true, scratch_);
-      },
-      /*idempotent=*/false);
-  if (!ok(code)) return code;
-  return parse_counter_response(req, scratch_);
+  return counter_op(Opcode::kOpDecr, key, delta);
 }
 
 StatusCode Client::touch(std::string_view key, std::int64_t expiration) {
@@ -714,15 +658,7 @@ StatusCode Client::touch(std::string_view key, std::int64_t expiration) {
   // Touch is idempotent: refreshing the expiration twice lands on the same
   // absolute deadline.
   return run_attempts(
-      req,
-      [&](Request& r) {
-        TxJob job;
-        job.opcode = Opcode::kOpTouch;
-        job.server = ring_.select(key);
-        job.key = std::string(key);
-        job.expiration = expiration;
-        return issue(std::move(job), r, -1, false, {});
-      },
+      req, attempt(Opcode::kOpTouch, {.key = key, .expiration = expiration}),
       /*idempotent=*/true);
 }
 
@@ -733,13 +669,7 @@ StatusCode Client::flush_all() {
     // Pinned to one explicit server (no ring selection): a retry targets
     // the same server again -- failing over a flush makes no sense.
     const StatusCode code = run_attempts(
-        req,
-        [&, server](Request& r) {
-          TxJob job;
-          job.opcode = Opcode::kOpFlushAll;
-          job.server = server;
-          return issue(std::move(job), r, -1, false, {});
-        },
+        req, attempt(Opcode::kOpFlushAll, {}, /*into_scratch=*/false, server),
         /*idempotent=*/true);
     if (code == StatusCode::kShutdown) return code;
     if (!ok(code)) worst = code;
@@ -759,17 +689,10 @@ Result<std::string> Client::stats_text(std::size_t server_index,
     case StatsKind::kTrace: what = "trace"; break;
     default: return StatusCode::kInvalidArgument;
   }
-  const net::EndpointId server = ring_.servers()[server_index];
   Request req;
   const StatusCode code = run_into_scratch(
-      req,
-      [&, server](Request& r) {
-        TxJob job;
-        job.opcode = Opcode::kOpStats;
-        job.server = server;
-        job.key = std::string(what);  // subcommand ("", "latency", "trace")
-        return issue(std::move(job), r, -1, true, scratch_);
-      });
+      req, attempt(Opcode::kOpStats, {.key = what}, /*into_scratch=*/true,
+                   ring_.servers()[server_index]));
   if (!ok(code)) return code;
   return std::string(scratch_.data(), req.value_length());
 }
@@ -779,14 +702,7 @@ StatusCode Client::gets(std::string_view key, std::vector<char>& out,
   if (key.empty()) return StatusCode::kInvalidArgument;
   Request req;
   const StatusCode code = run_into_scratch(
-      req,
-      [&](Request& r) {
-        TxJob job;
-        job.opcode = Opcode::kOpGets;
-        job.server = ring_.select(key);
-        job.key = std::string(key);
-        return issue(std::move(job), r, -1, true, scratch_);
-      });
+      req, attempt(Opcode::kOpGets, {.key = key}, /*into_scratch=*/true));
   if (!ok(code)) return code;
   if (req.value_length() < 8) return StatusCode::kServerError;
   std::uint64_t token = 0;
@@ -796,30 +712,6 @@ StatusCode Client::gets(std::string_view key, std::vector<char>& out,
   out.assign(scratch_.begin() + 8,
              scratch_.begin() + static_cast<std::ptrdiff_t>(req.value_length()));
   return StatusCode::kOk;
-}
-
-StatusCode Client::cas(std::string_view key, std::span<const char> value,
-                       std::uint64_t cas_token, std::uint32_t flags,
-                       std::int64_t expiration) {
-  if (key.empty()) return StatusCode::kInvalidArgument;
-  Request req;
-  return run_attempts(
-      req,
-      [&](Request& r) {
-        TxJob job;
-        job.opcode = Opcode::kOpCas;
-        job.server = ring_.select(key);
-        job.key = std::string(key);
-        job.owned_value.assign(value.begin(), value.end());
-        job.value = job.owned_value;
-        job.flags = flags;
-        job.expiration = expiration;
-        // The CAS token travels in the job's wr-independent slot: tx_main
-        // packs it from job.cas_token.
-        job.cas_token = cas_token;
-        return issue(std::move(job), r, -1, false, {});
-      },
-      /*idempotent=*/false);
 }
 
 std::vector<Result<std::vector<char>>> Client::mget_status(
@@ -860,10 +752,23 @@ std::vector<Result<std::vector<char>>> Client::mget_status(
   }
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (requests[i] == nullptr) continue;
-    wait(*requests[i]);
-    const StatusCode status = requests[i]->status();
+    Request& req = *requests[i];
+    wait(req);
+    StatusCode status = req.status();
+    if (status == StatusCode::kBufferTooSmall) {
+      // Larger than a bounce slot (set stored it through its private-copy
+      // fallback): fetch it again the way a blocking get does.
+      status = run_into_scratch(
+          req,
+          attempt(Opcode::kOpGet, {.key = keys[i]}, /*into_scratch=*/true));
+      if (ok(status)) {
+        dests[i].assign(scratch_.begin(),
+                        scratch_.begin() +
+                            static_cast<std::ptrdiff_t>(req.value_length()));
+      }
+    }
     if (ok(status)) {
-      dests[i].resize(requests[i]->value_length());
+      dests[i].resize(req.value_length());
       results[i] = Result<std::vector<char>>(std::move(dests[i]));
     } else {
       // kNotFound (a genuine miss) stays distinguishable from kTimedOut /

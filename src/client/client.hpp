@@ -56,6 +56,7 @@
 #include "common/sim_time.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/fabric.hpp"
+#include "server/protocol.hpp"
 
 namespace hykv::client {
 
@@ -301,16 +302,22 @@ class Client {
   }
 
  private:
+  /// One request on its way to the wire. Move-only: `op` views `owned`.
   struct TxJob {
+    TxJob() = default;
+    TxJob(TxJob&&) = default;
+    TxJob& operator=(TxJob&&) = default;
+    TxJob(const TxJob&) = delete;
+    TxJob& operator=(const TxJob&) = delete;
+
     std::uint16_t opcode = 0;
     std::uint64_t wr_id = 0;
     net::EndpointId server = net::kInvalidEndpoint;
-    std::string key;
-    std::span<const char> value{};   ///< Zero-copy source (iset) or slot view.
-    std::vector<char> owned_value;   ///< Fallback copy for oversized bsets.
-    std::uint32_t flags = 0;
-    std::int64_t expiration = 0;
-    std::uint64_t cas_token = 0;
+    /// The request. Its key views `owned`; its value views `owned`, a
+    /// bounce slot, or (iset, zero copy) the caller's buffer.
+    server::OpRequest op{};
+    std::vector<char> owned;  ///< The key bytes, then any copied value.
+    std::span<char> dest{};   ///< Reply destination (iget/bget, scratch_).
     std::int64_t deadline_ns = 0;  ///< Propagated deadline (0 = none).
   };
 
@@ -323,9 +330,12 @@ class Client {
 
   void tx_main();
   void rx_main();
-  /// Encodes one job's request payload (the per-opcode wire encoding,
-  /// without the deadline envelope).
-  [[nodiscard]] std::vector<char> encode_job(const TxJob& job) const;
+  /// A job for `op`, with the key and the value copied into it, so a queued
+  /// job never reads a caller's buffer that a timeout has handed back.
+  [[nodiscard]] static TxJob make_job(std::uint16_t opcode,
+                                      net::EndpointId server,
+                                      const server::OpRequest& op,
+                                      std::span<char> dest = {});
   /// How issue() hands a registered job to the wire.
   enum class Post {
     kQueued,          ///< Through the TX engine (iset/iget).
@@ -360,8 +370,10 @@ class Client {
     const MutexLock lock(completion_mu_);
     completion_cv_.wait(completion_mu_, std::forward<Pred>(pred));
   }
+  /// Registers `job` as pending on `req` and posts it. `is_get`: the reply
+  /// value is placed in job.dest and counts as a hit or miss.
   StatusCode issue(TxJob job, Request& req, int slot, bool is_get,
-                   std::span<char> dest, Post how = Post::kInlineWhenIdle);
+                   Post how = Post::kInlineWhenIdle);
   /// Shared body of bset and set: stages the value in a bounce slot (a
   /// private copy when oversized), issues the Set and waits until it is
   /// sent, so the slot is never recycled while a queued job still reads it.
@@ -369,13 +381,22 @@ class Client {
   StatusCode start_set(std::string_view key, std::span<const char> value,
                        std::uint32_t flags, std::int64_t expiration,
                        Request& req);
-  /// Shared body of iget, bget, get and mget. Key must be non-empty.
+  /// Shared body of iget, bget and mget. Key must be non-empty.
   StatusCode start_get(std::string_view key, std::span<char> dest,
                        Request& req, Post how = Post::kInlineWhenIdle);
-  /// Shared body of add/replace/append/prepend (non-idempotent stores).
-  StatusCode store_op(std::uint16_t opcode, std::string_view key,
-                      std::span<const char> value, std::uint32_t flags,
-                      std::int64_t expiration);
+  /// One attempt of a blocking op, for run_attempts: issues a job for `op`
+  /// to `server`, or to the key's ring server when none is given -- chosen
+  /// again on every attempt, so a retry can fail over. With `into_scratch`
+  /// the reply value lands in scratch_.
+  [[nodiscard]] std::function<StatusCode(Request&)> attempt(
+      std::uint16_t opcode, const server::OpRequest& op,
+      bool into_scratch = false,
+      net::EndpointId server = net::kInvalidEndpoint);
+  /// Shared body of add/replace/append/prepend/cas (non-idempotent stores).
+  StatusCode store_op(std::uint16_t opcode, const server::OpRequest& op);
+  /// Shared body of incr and decr.
+  Result<std::uint64_t> counter_op(std::uint16_t opcode, std::string_view key,
+                                   std::uint64_t delta);
   /// Runs one blocking operation under the deadline/retry policy:
   /// `issue_attempt` posts a fresh request (re-selecting the server, so a
   /// retry after ejection fails over) and is re-run on timeout while budget

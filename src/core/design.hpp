@@ -85,4 +85,12 @@ constexpr Design kBaselineDesigns[] = {
     Design::kHRdmaDef,
 };
 
+/// The four hybrid designs of Fig. 7 and Fig. 8(a).
+constexpr Design kHybridDesigns[] = {
+    Design::kHRdmaDef,
+    Design::kHRdmaOptBlock,
+    Design::kHRdmaOptNonbB,
+    Design::kHRdmaOptNonbI,
+};
+
 }  // namespace hykv::core

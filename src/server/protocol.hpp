@@ -2,11 +2,18 @@
 //
 // Binary little-endian framing (this is an in-process simulation; both ends
 // share endianness). Opcodes ride in Message::opcode, correlation in wr_id.
+// As in memcached's binary protocol, every request opcode shares one fixed
+// header, so a request is one record whatever its opcode:
 //
-//   SET  : [u32 key_len][u32 flags][i64 expiration][key][value]
-//   GET  : [u32 key_len][key]
-//   DEL  : [u32 key_len][key]
-//   RESP : [u8 status][u32 flags][value...]          (value only for GET hits)
+//   REQ  : [u32 key_len][u32 flags][i64 expiration][u64 arg][key][value]
+//   RESP : [u8 status][u32 flags][value...]
+//
+// A request decodes into an OpRequest. `arg` is the CAS token of kOpCas and
+// the delta of kOpIncr/kOpDecr, 0 for every other opcode. Only the storing
+// opcodes (set, add, replace, append, prepend, cas) may carry value bytes;
+// a stats subcommand travels as the key. The opcode comments below name the
+// fields each op reads. Frames (one op, or a batch) and the deadline
+// envelope wrap these encodings; see the sections further down.
 #pragma once
 
 #include <cstdint>
@@ -23,33 +30,34 @@
 namespace hykv::server {
 
 enum Opcode : std::uint16_t {
-  kOpSet = 1,
-  kOpGet = 2,
-  kOpDelete = 3,
-  kOpResponse = 4,
-  kOpAdd = 5,       ///< Store iff absent (payload = SET encoding).
-  kOpReplace = 6,   ///< Store iff present (payload = SET encoding).
-  kOpAppend = 7,    ///< Extend value at the end (payload = SET encoding).
-  kOpPrepend = 8,   ///< Extend value at the front (payload = SET encoding).
-  kOpIncr = 9,      ///< [u32 key_len][u64 delta][key]; resp value = LE u64.
-  kOpDecr = 10,
-  kOpTouch = 11,    ///< [u32 key_len][i64 expiration][key].
-  kOpFlushAll = 12, ///< Empty payload; drops every item on the server.
-  kOpStats = 13,    ///< Payload = optional subcommand bytes ("" = legacy
-                    ///< counter text, "latency", "trace"); resp value =
-                    ///< "key value\n" text (JSON for "trace").
-  kOpGets = 14,     ///< GET encoding; resp value = [u64 cas][value bytes].
-  kOpCas = 15,      ///< [u32 key_len][u32 flags][i64 exp][u64 cas][key][value].
-  kOpBatch = 16,    ///< Coalesced frame: [u32 n] + n length-prefixed sub-
-                    ///< requests, each [u16 opcode][u64 wr_id][u32 len][body].
+  kOpSet = 1,        ///< key, value, flags, expiration.
+  kOpGet = 2,        ///< key; resp value = the item's bytes.
+  kOpDelete = 3,     ///< key.
+  kOpResponse = 4,   ///< Reply to a plain frame: RESP.
+  kOpAdd = 5,        ///< As kOpSet; stores iff absent.
+  kOpReplace = 6,    ///< As kOpSet; stores iff present.
+  kOpAppend = 7,     ///< key, value: extends the value at the end.
+  kOpPrepend = 8,    ///< key, value: extends the value at the front.
+  kOpIncr = 9,       ///< key, arg = delta; resp value = new value, LE u64.
+  kOpDecr = 10,      ///< As kOpIncr.
+  kOpTouch = 11,     ///< key, expiration.
+  kOpFlushAll = 12,  ///< No field read; drops every item on the server.
+  kOpStats = 13,     ///< key = subcommand ("" = legacy counter text,
+                     ///< "latency", "trace"); resp value = "key value\n"
+                     ///< text (JSON for "trace").
+  kOpGets = 14,      ///< key; resp value = [u64 cas][value bytes].
+  kOpCas = 15,       ///< As kOpSet, arg = CAS token.
+  kOpBatch = 16,     ///< Coalesced frame: [u32 n] + n length-prefixed sub-
+                     ///< requests, each [u16 opcode][u64 wr_id][u32 len][body].
   kOpBatchResponse = 17,  ///< [u32 n] + n of [u64 wr_id][u32 len][RESP bytes].
 };
 
-/// Observability op class of an opcode: the histogram bucket a well-formed
-/// request of this opcode lands in (`stats latency`, client issue→complete).
-/// Mirrors how handle() folds opcodes into the per-op ServerCounters, so
-/// `stats latency` counts balance against `stats` counts; malformed requests
-/// are recorded as Op::kOther regardless of opcode.
+/// Op class of an opcode: the histogram bucket a well-formed request of this
+/// opcode lands in (`stats latency`, client issue→complete), and the one
+/// opcode→ServerCounters mapping the server counts by, so `stats latency`
+/// counts balance against `stats` counts. kOther marks an opcode that is
+/// not a request; malformed requests are recorded as kOther whatever their
+/// opcode.
 [[nodiscard]] constexpr metrics::Op op_class(std::uint16_t opcode) noexcept {
   switch (opcode) {
     case kOpSet:
@@ -76,15 +84,14 @@ enum Opcode : std::uint16_t {
   }
 }
 
-struct SetRequest {
-  std::string_view key;
-  std::span<const char> value;
+/// One request of any opcode, as the wire carries it (header comment).
+/// Decoded views point into the payload, which must outlive the request.
+struct OpRequest {
+  std::string_view key{};
+  std::span<const char> value{};
   std::uint32_t flags = 0;
   std::int64_t expiration = 0;
-};
-
-struct KeyRequest {
-  std::string_view key;
+  std::uint64_t arg = 0;  ///< kOpCas: CAS token; kOpIncr/kOpDecr: delta.
 };
 
 struct Response {
@@ -93,21 +100,49 @@ struct Response {
   std::span<const char> value{};
 };
 
+/// Fixed bytes before a request's key: [u32 key_len][u32 flags][i64
+/// expiration][u64 arg].
+inline constexpr std::size_t kRequestHeaderBytes = 24;
+
+/// Whether requests of this opcode may carry value bytes.
+[[nodiscard]] constexpr bool carries_value(std::uint16_t opcode) noexcept {
+  switch (opcode) {
+    case kOpSet:
+    case kOpAdd:
+    case kOpReplace:
+    case kOpAppend:
+    case kOpPrepend:
+    case kOpCas:
+      return true;
+    default:
+      return false;
+  }
+}
+
 namespace detail {
 inline void append_u32(std::vector<char>& out, std::uint32_t v) {
   const auto offset = out.size();
   out.resize(offset + 4);
   std::memcpy(out.data() + offset, &v, 4);
 }
-inline void append_i64(std::vector<char>& out, std::int64_t v) {
+inline void append_u64(std::vector<char>& out, std::uint64_t v) {
   const auto offset = out.size();
   out.resize(offset + 8);
   std::memcpy(out.data() + offset, &v, 8);
+}
+inline void append_i64(std::vector<char>& out, std::int64_t v) {
+  append_u64(out, static_cast<std::uint64_t>(v));
 }
 inline bool read_u32(std::span<const char> in, std::size_t& pos, std::uint32_t& v) {
   if (pos + 4 > in.size()) return false;
   std::memcpy(&v, in.data() + pos, 4);
   pos += 4;
+  return true;
+}
+inline bool read_u64(std::span<const char> in, std::size_t& pos, std::uint64_t& v) {
+  if (pos + 8 > in.size()) return false;
+  std::memcpy(&v, in.data() + pos, 8);
+  pos += 8;
   return true;
 }
 inline bool read_i64(std::span<const char> in, std::size_t& pos, std::int64_t& v) {
@@ -118,46 +153,38 @@ inline bool read_i64(std::span<const char> in, std::size_t& pos, std::int64_t& v
 }
 }  // namespace detail
 
-inline std::vector<char> encode_set(const SetRequest& req) {
+inline std::vector<char> encode_request(const OpRequest& req) {
   std::vector<char> out;
-  out.reserve(16 + req.key.size() + req.value.size());
+  out.reserve(kRequestHeaderBytes + req.key.size() + req.value.size());
   detail::append_u32(out, static_cast<std::uint32_t>(req.key.size()));
   detail::append_u32(out, req.flags);
   detail::append_i64(out, req.expiration);
+  detail::append_u64(out, req.arg);
   out.insert(out.end(), req.key.begin(), req.key.end());
   out.insert(out.end(), req.value.begin(), req.value.end());
   return out;
 }
 
-/// Views into `payload`; the payload must outlive the request.
-inline std::optional<SetRequest> decode_set(std::span<const char> payload) {
+/// nullopt -- a malformed request -- for an opcode that is not a request
+/// (op_class kOther), a payload shorter than its header or its key_len, and
+/// value bytes on an opcode that carries none.
+inline std::optional<OpRequest> decode_request(std::uint16_t opcode,
+                                               std::span<const char> payload) {
+  if (op_class(opcode) == metrics::Op::kOther) return std::nullopt;
   std::size_t pos = 0;
   std::uint32_t key_len = 0;
-  SetRequest req;
-  if (!detail::read_u32(payload, pos, key_len)) return std::nullopt;
-  if (!detail::read_u32(payload, pos, req.flags)) return std::nullopt;
-  if (!detail::read_i64(payload, pos, req.expiration)) return std::nullopt;
-  if (pos + key_len > payload.size()) return std::nullopt;
+  OpRequest req;
+  if (!detail::read_u32(payload, pos, key_len) ||
+      !detail::read_u32(payload, pos, req.flags) ||
+      !detail::read_i64(payload, pos, req.expiration) ||
+      !detail::read_u64(payload, pos, req.arg)) {
+    return std::nullopt;
+  }
+  if (key_len > payload.size() - pos) return std::nullopt;
   req.key = std::string_view(payload.data() + pos, key_len);
-  pos += key_len;
-  req.value = payload.subspan(pos);
+  req.value = payload.subspan(pos + key_len);
+  if (!req.value.empty() && !carries_value(opcode)) return std::nullopt;
   return req;
-}
-
-inline std::vector<char> encode_key_request(std::string_view key) {
-  std::vector<char> out;
-  out.reserve(4 + key.size());
-  detail::append_u32(out, static_cast<std::uint32_t>(key.size()));
-  out.insert(out.end(), key.begin(), key.end());
-  return out;
-}
-
-inline std::optional<KeyRequest> decode_key_request(std::span<const char> payload) {
-  std::size_t pos = 0;
-  std::uint32_t key_len = 0;
-  if (!detail::read_u32(payload, pos, key_len)) return std::nullopt;
-  if (pos + key_len != payload.size()) return std::nullopt;
-  return KeyRequest{std::string_view(payload.data() + pos, key_len)};
 }
 
 inline std::vector<char> encode_response(StatusCode status, std::uint32_t flags,
@@ -178,93 +205,6 @@ inline std::optional<Response> decode_response(std::span<const char> payload) {
   if (!detail::read_u32(payload, pos, resp.flags)) return std::nullopt;
   resp.value = payload.subspan(pos);
   return resp;
-}
-
-struct CounterRequest {
-  std::string_view key;
-  std::uint64_t delta = 0;
-};
-
-struct TouchRequest {
-  std::string_view key;
-  std::int64_t expiration = 0;
-};
-
-inline std::vector<char> encode_counter(std::string_view key, std::uint64_t delta) {
-  std::vector<char> out;
-  out.reserve(12 + key.size());
-  detail::append_u32(out, static_cast<std::uint32_t>(key.size()));
-  detail::append_i64(out, static_cast<std::int64_t>(delta));
-  out.insert(out.end(), key.begin(), key.end());
-  return out;
-}
-
-inline std::optional<CounterRequest> decode_counter(std::span<const char> payload) {
-  std::size_t pos = 0;
-  std::uint32_t key_len = 0;
-  std::int64_t delta = 0;
-  if (!detail::read_u32(payload, pos, key_len)) return std::nullopt;
-  if (!detail::read_i64(payload, pos, delta)) return std::nullopt;
-  if (pos + key_len != payload.size()) return std::nullopt;
-  return CounterRequest{std::string_view(payload.data() + pos, key_len),
-                        static_cast<std::uint64_t>(delta)};
-}
-
-inline std::vector<char> encode_touch(std::string_view key, std::int64_t expiration) {
-  std::vector<char> out;
-  out.reserve(12 + key.size());
-  detail::append_u32(out, static_cast<std::uint32_t>(key.size()));
-  detail::append_i64(out, expiration);
-  out.insert(out.end(), key.begin(), key.end());
-  return out;
-}
-
-inline std::optional<TouchRequest> decode_touch(std::span<const char> payload) {
-  std::size_t pos = 0;
-  std::uint32_t key_len = 0;
-  TouchRequest req;
-  if (!detail::read_u32(payload, pos, key_len)) return std::nullopt;
-  if (!detail::read_i64(payload, pos, req.expiration)) return std::nullopt;
-  if (pos + key_len != payload.size()) return std::nullopt;
-  req.key = std::string_view(payload.data() + pos, key_len);
-  return req;
-}
-
-struct CasRequest {
-  std::string_view key;
-  std::span<const char> value;
-  std::uint32_t flags = 0;
-  std::int64_t expiration = 0;
-  std::uint64_t cas = 0;
-};
-
-inline std::vector<char> encode_cas(const CasRequest& req) {
-  std::vector<char> out;
-  out.reserve(24 + req.key.size() + req.value.size());
-  detail::append_u32(out, static_cast<std::uint32_t>(req.key.size()));
-  detail::append_u32(out, req.flags);
-  detail::append_i64(out, req.expiration);
-  detail::append_i64(out, static_cast<std::int64_t>(req.cas));
-  out.insert(out.end(), req.key.begin(), req.key.end());
-  out.insert(out.end(), req.value.begin(), req.value.end());
-  return out;
-}
-
-inline std::optional<CasRequest> decode_cas(std::span<const char> payload) {
-  std::size_t pos = 0;
-  std::uint32_t key_len = 0;
-  std::int64_t cas_bits = 0;
-  CasRequest req;
-  if (!detail::read_u32(payload, pos, key_len)) return std::nullopt;
-  if (!detail::read_u32(payload, pos, req.flags)) return std::nullopt;
-  if (!detail::read_i64(payload, pos, req.expiration)) return std::nullopt;
-  if (!detail::read_i64(payload, pos, cas_bits)) return std::nullopt;
-  req.cas = static_cast<std::uint64_t>(cas_bits);
-  if (pos + key_len > payload.size()) return std::nullopt;
-  req.key = std::string_view(payload.data() + pos, key_len);
-  pos += key_len;
-  req.value = payload.subspan(pos);
-  return req;
 }
 
 // ---- Optional request-deadline header (overload control, DESIGN.md §8) ----
@@ -362,17 +302,6 @@ inline bool read_u16(std::span<const char> in, std::size_t& pos, std::uint16_t& 
   if (pos + 2 > in.size()) return false;
   std::memcpy(&v, in.data() + pos, 2);
   pos += 2;
-  return true;
-}
-inline void append_u64(std::vector<char>& out, std::uint64_t v) {
-  const auto offset = out.size();
-  out.resize(offset + 8);
-  std::memcpy(out.data() + offset, &v, 8);
-}
-inline bool read_u64(std::span<const char> in, std::size_t& pos, std::uint64_t& v) {
-  if (pos + 8 > in.size()) return false;
-  std::memcpy(&v, in.data() + pos, 8);
-  pos += 8;
   return true;
 }
 inline void append_batch_item(std::vector<char>& out, std::uint16_t opcode,

@@ -183,6 +183,14 @@ void count_arrival(metrics::CounterSlot<ServerCounters>& metrics,
   }
 }
 
+/// The ServerCounters field each op class counts in, indexed by
+/// metrics::Op: op_class() is the one opcode->counter mapping, and a
+/// malformed request (kOther) counts as malformed.
+constexpr std::uint64_t ServerCounters::*kOpCounters[metrics::kOpCount] = {
+    &ServerCounters::sets,    &ServerCounters::gets,
+    &ServerCounters::deletes, &ServerCounters::touches,
+    &ServerCounters::admin,   &ServerCounters::malformed};
+
 /// One op's outcome, kept until the frame's reply is out.
 struct OpOutcome {
   metrics::Op op = metrics::Op::kOther;
@@ -287,181 +295,97 @@ void MemcachedServer::worker_main(std::size_t worker_index) {
 }
 
 MemcachedServer::OpResult MemcachedServer::execute_op(
-    std::uint16_t opcode, std::span<const char> body, WorkerMetrics& metrics,
-    std::vector<char>& value, metrics::Op& op_cls) {
-  OpResult result;
+    std::uint16_t opcode, std::span<const char> body,
+    std::vector<char>& value) {
+  const std::optional<OpRequest> req = decode_request(opcode, body);
+  if (!req.has_value()) return {};  // malformed: kInvalidArgument, kOther
+  OpResult result{.op = op_class(opcode)};
   StatusCode& status = result.status;
-  std::uint32_t& flags = result.flags;
-  bool& has_value = result.has_value;
-
-  // Malformed requests land in the kOther histogram whatever their opcode
-  // claimed (mirrors the `malformed` counter).
-  const auto count_malformed = [&metrics, &op_cls] {
-    metrics.add(&ServerCounters::malformed);
-    op_cls = metrics::Op::kOther;
-  };
-
   switch (opcode) {
-    case kOpSet: {
-      const auto req = decode_set(body);
-      if (req.has_value()) {
-        status = manager_.set(req->key, req->value, req->flags,
-                              req->expiration);
-        metrics.add(&ServerCounters::sets);
-      } else {
-        count_malformed();
-      }
+    case kOpSet:
+      status = manager_.set(req->key, req->value, req->flags, req->expiration);
       break;
-    }
-    case kOpGet: {
-      const auto req = decode_key_request(body);
-      if (req.has_value()) {
-        status = manager_.get(req->key, value, flags);
-        has_value = ok(status);
-        metrics.add(&ServerCounters::gets);
-      } else {
-        count_malformed();
-      }
-      break;
-    }
-    case kOpDelete: {
-      const auto req = decode_key_request(body);
-      if (req.has_value()) {
-        status = manager_.del(req->key);
-        metrics.add(&ServerCounters::deletes);
-      } else {
-        count_malformed();
-      }
-      break;
-    }
     case kOpAdd:
-    case kOpReplace:
-    case kOpAppend:
-    case kOpPrepend: {
-      const auto req = decode_set(body);
-      if (req.has_value()) {
-        switch (opcode) {
-          case kOpAdd:
-            status = manager_.add(req->key, req->value, req->flags,
-                                  req->expiration);
-            break;
-          case kOpReplace:
-            status = manager_.replace(req->key, req->value, req->flags,
-                                      req->expiration);
-            break;
-          case kOpAppend:
-            status = manager_.append(req->key, req->value);
-            break;
-          default:
-            status = manager_.prepend(req->key, req->value);
-            break;
-        }
-        metrics.add(&ServerCounters::sets);
-      } else {
-        count_malformed();
-      }
+      status = manager_.add(req->key, req->value, req->flags, req->expiration);
       break;
-    }
+    case kOpReplace:
+      status =
+          manager_.replace(req->key, req->value, req->flags, req->expiration);
+      break;
+    case kOpAppend:
+      status = manager_.append(req->key, req->value);
+      break;
+    case kOpPrepend:
+      status = manager_.prepend(req->key, req->value);
+      break;
+    case kOpCas:
+      status = manager_.cas(req->key, req->value, req->flags, req->expiration,
+                            req->arg);
+      break;
     case kOpIncr:
     case kOpDecr: {
-      const auto req = decode_counter(body);
-      if (req.has_value()) {
-        const auto result_v = opcode == kOpIncr
-                                  ? manager_.incr(req->key, req->delta)
-                                  : manager_.decr(req->key, req->delta);
-        status = result_v.status();
-        if (result_v.ok()) {
-          value = encode_counter_value(result_v.value());
-          has_value = true;
-        }
-        metrics.add(&ServerCounters::sets);
-      } else {
-        count_malformed();
+      const auto counter = opcode == kOpIncr
+                               ? manager_.incr(req->key, req->arg)
+                               : manager_.decr(req->key, req->arg);
+      status = counter.status();
+      if (counter.ok()) {
+        value = encode_counter_value(counter.value());
+        result.has_value = true;
       }
       break;
     }
-    case kOpTouch: {
-      const auto req = decode_touch(body);
-      if (req.has_value()) {
-        status = manager_.touch(req->key, req->expiration);
-        metrics.add(&ServerCounters::touches);
-      } else {
-        count_malformed();
+    case kOpGet:
+      status = manager_.get(req->key, value, result.flags);
+      result.has_value = ok(status);
+      break;
+    case kOpGets: {
+      std::vector<char> raw;
+      std::uint64_t cas = 0;
+      status = manager_.gets(req->key, raw, result.flags, cas);
+      if (ok(status)) {
+        value.resize(8 + raw.size());
+        std::memcpy(value.data(), &cas, 8);
+        std::memcpy(value.data() + 8, raw.data(), raw.size());
+        result.has_value = true;
       }
       break;
     }
-    case kOpFlushAll: {
+    case kOpDelete:
+      status = manager_.del(req->key);
+      break;
+    case kOpTouch:
+      status = manager_.touch(req->key, req->expiration);
+      break;
+    case kOpFlushAll:
       manager_.clear();
       status = StatusCode::kOk;
-      metrics.add(&ServerCounters::admin);
       break;
-    }
     case kOpStats: {
-      // Subcommands ride in the payload: "" = legacy counter text (frozen
+      // The subcommand rides in the key: "" = legacy counter text (frozen
       // format, byte-identical whether recording is on or off), "latency" =
-      // histogram percentiles, "trace" = sampled timelines as JSON. Unknown
-      // subcommands answer kInvalidArgument but still count as admin so
-      // requests == ops_sum() holds.
-      const std::string_view what =
-          body.empty() ? std::string_view{}
-                       : std::string_view(body.data(), body.size());
-      if (what.empty()) {
-        value = render_stats();
-        has_value = true;
-        status = StatusCode::kOk;
-      } else if (what == "latency") {
-        const std::string text = recorder_ != nullptr
-                                     ? render_latency_text(*recorder_)
-                                     : std::string("latency_recording 0\n");
-        value.assign(text.begin(), text.end());
-        has_value = true;
-        status = StatusCode::kOk;
-      } else if (what == "trace") {
-        const std::string text =
-            tracer_ != nullptr ? tracer_->to_json()
-                               : std::string("{\"sample_shift\":0,\"traces\":[]}\n");
-        value.assign(text.begin(), text.end());
-        has_value = true;
-        status = StatusCode::kOk;
+      // histogram percentiles, "trace" = sampled timelines as JSON. An
+      // unknown one answers kInvalidArgument, still counted as admin.
+      std::string text;
+      if (req->key.empty()) {
+        text = render_stats_text(counters(), manager_.stats(),
+                                 manager_.slab_stats(), manager_.item_count(),
+                                 manager_.num_shards());
+      } else if (req->key == "latency") {
+        text = recorder_ != nullptr ? render_latency_text(*recorder_)
+                                    : "latency_recording 0\n";
+      } else if (req->key == "trace") {
+        text = tracer_ != nullptr ? tracer_->to_json()
+                                  : "{\"sample_shift\":0,\"traces\":[]}\n";
       } else {
-        status = StatusCode::kInvalidArgument;
+        break;
       }
-      metrics.add(&ServerCounters::admin);
+      value.assign(text.begin(), text.end());
+      result.has_value = true;
+      status = StatusCode::kOk;
       break;
     }
-    case kOpGets: {
-      const auto req = decode_key_request(body);
-      if (req.has_value()) {
-        std::vector<char> raw;
-        std::uint64_t cas = 0;
-        status = manager_.gets(req->key, raw, flags, cas);
-        if (ok(status)) {
-          value.resize(8 + raw.size());
-          std::memcpy(value.data(), &cas, 8);
-          std::memcpy(value.data() + 8, raw.data(), raw.size());
-          has_value = true;
-        }
-        metrics.add(&ServerCounters::gets);
-      } else {
-        count_malformed();
-      }
-      break;
-    }
-    case kOpCas: {
-      const auto req = decode_cas(body);
-      if (req.has_value()) {
-        status = manager_.cas(req->key, req->value, req->flags,
-                              req->expiration, req->cas);
-        metrics.add(&ServerCounters::sets);
-      } else {
-        count_malformed();
-      }
-      break;
-    }
-    default: {
-      count_malformed();
-      break;
-    }
+    default:
+      break;  // unreachable: decode_request accepts request opcodes only
   }
   return result;
 }
@@ -526,11 +450,11 @@ void MemcachedServer::handle(const net::Message& request,
   ReplyWriter reply(frame);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     OpOutcome& outcome = outcomes[i];
-    outcome.op = op_class(ops[i].opcode);
     outcome.traced = tracer_ != nullptr && tracer_->sample(outcome.seq);
     std::vector<char> value;
-    const OpResult result =
-        execute_op(ops[i].opcode, ops[i].payload, metrics, value, outcome.op);
+    const OpResult result = execute_op(ops[i].opcode, ops[i].payload, value);
+    metrics.add(kOpCounters[static_cast<std::size_t>(result.op)]);
+    outcome.op = result.op;
     outcome.status = result.status;
     reply.add(ops[i].wr_id, result.status, result.flags,
               result.has_value ? std::span<const char>(value)
@@ -578,13 +502,6 @@ void MemcachedServer::reply_all(const net::Message& request,
   for (const BatchItem& op : frame.ops()) reply.add(op.wr_id, status, 0);
   endpoint_->send(request.src, reply.opcode(), request.wr_id,
                   reply.payload());
-}
-
-std::vector<char> MemcachedServer::render_stats() const {
-  const std::string text =
-      render_stats_text(counters(), manager_.stats(), manager_.slab_stats(),
-                        manager_.item_count(), manager_.num_shards());
-  return {text.begin(), text.end()};
 }
 
 ServerCounters MemcachedServer::counters() const {

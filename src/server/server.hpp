@@ -197,10 +197,11 @@ class MemcachedServer {
     sim::TimePoint dequeued_at{};
   };
 
-  /// Outcome of one opcode dispatch. The value bytes live in the
-  /// caller-provided buffer; `has_value` says whether they belong in the
-  /// response.
+  /// Outcome of one op. The value bytes live in the caller-provided
+  /// buffer; `has_value` says whether they belong in the response. The
+  /// defaults are a malformed request's outcome.
   struct OpResult {
+    metrics::Op op = metrics::Op::kOther;  ///< op_class, kOther if malformed.
     StatusCode status = StatusCode::kInvalidArgument;
     std::uint32_t flags = 0;
     bool has_value = false;
@@ -213,18 +214,15 @@ class MemcachedServer {
   /// one reply (DESIGN.md §12).
   void handle(const net::Message& request, WorkerMetrics& metrics,
               const RequestContext& ctx);
-  /// Decode + execute one operation against the store, bumping its per-op
-  /// counter (malformed ops land in `malformed` and flip op_cls to kOther).
+  /// Decodes one op and runs it against the store.
   OpResult execute_op(std::uint16_t opcode, std::span<const char> body,
-                      WorkerMetrics& metrics, std::vector<char>& value,
-                      metrics::Op& op_cls);
+                      std::vector<char>& value);
   /// Answers every op of the frame with `status` and no value, in one reply.
   void reply_all(const net::Message& request, const RequestFrame& frame,
                  StatusCode status);
   /// Admission check for one arriving request (async mode, admission on).
   /// Returns false after shedding it with a cheap kBusy response.
   bool admit(const net::Message& request);
-  [[nodiscard]] std::vector<char> render_stats() const;
 
   net::Fabric& fabric_;
   ServerConfig config_;

@@ -85,7 +85,7 @@ TEST_F(BatchTest, BatchingOffIsByteForBytePreBatchingWire) {
     EXPECT_FALSE(saw_batch_opcode.load());
     const std::lock_guard<std::mutex> lock(captured_mu);
     ASSERT_EQ(captured.size(), 2u);
-    const auto expected_set = server::encode_set(
+    const auto expected_set = server::encode_request(
         {.key = "a-key",
          .value = {value.data(), value.size()},
          .flags = 7,
@@ -95,7 +95,7 @@ TEST_F(BatchTest, BatchingOffIsByteForBytePreBatchingWire) {
     EXPECT_EQ(std::memcmp(captured[0].second.data(), expected_set.data(),
                           expected_set.size()),
               0);
-    const auto expected_get = server::encode_key_request("a-key");
+    const auto expected_get = server::encode_request({.key = "a-key"});
     EXPECT_EQ(captured[1].first, server::kOpGet);
     ASSERT_EQ(captured[1].second.size(), expected_get.size());
     EXPECT_EQ(std::memcmp(captured[1].second.data(), expected_get.data(),
@@ -120,10 +120,10 @@ TEST_F(BatchTest, ServerExecutesBatchFrameAndRepliesBatched) {
   auto raw = bed.fabric().create_endpoint("raw-client");
 
   const auto value = make_value(1, 512);
-  const auto set_body = server::encode_set(
+  const auto set_body = server::encode_request(
       {.key = "batched-key", .value = value, .flags = 9, .expiration = 0});
-  const auto get_body = server::encode_key_request("batched-key");
-  const auto miss_body = server::encode_key_request("no-such-key");
+  const auto get_body = server::encode_request({.key = "batched-key"});
+  const auto miss_body = server::encode_request({.key = "no-such-key"});
   const server::BatchItem items[] = {
       {.opcode = server::kOpSet, .wr_id = 101, .payload = set_body},
       {.opcode = server::kOpGet, .wr_id = 102, .payload = get_body},
@@ -216,7 +216,8 @@ TEST_F(BatchTest, SampledOpInsideBatchFrameIsTraced) {
   const auto value = make_value(2, 128);
   std::vector<std::vector<char>> bodies;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    bodies.push_back(server::encode_set({.key = make_key(i), .value = value}));
+    bodies.push_back(
+        server::encode_request({.key = make_key(i), .value = value}));
   }
   std::vector<server::BatchItem> items;
   for (std::uint64_t i = 0; i < 4; ++i) {

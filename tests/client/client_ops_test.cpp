@@ -149,6 +149,30 @@ TEST_F(ClientOpsTest, BlockingReadsFetchRepliesLargerThanABounceSlot) {
   EXPECT_NE(token, 0u);
 }
 
+// mget's destinations are one bounce slot each; a larger value is fetched
+// again the way a blocking get fetches it.
+TEST_F(ClientOpsTest, MgetFetchesValuesLargerThanABounceSlot) {
+  TestBedConfig cfg = small_bed(Design::kRdmaMem);
+  cfg.client_bounce_slot_bytes = 1024;
+  TestBed bed(cfg);
+  auto client = bed.make_client("c");
+  const std::vector<char> big = make_value(7, 8 << 10);
+  const std::vector<char> small = make_value(8, 100);
+  ASSERT_EQ(client->set("big", big), StatusCode::kOk);
+  ASSERT_EQ(client->set("small", small), StatusCode::kOk);
+
+  const std::vector<std::string> keys = {"small", "big", "missing"};
+  const auto results = client->mget_status(keys);
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_TRUE(results[0].ok());
+  EXPECT_EQ(results[0].value(), small);
+  ASSERT_TRUE(results[1].ok()) << static_cast<int>(results[1].status());
+  EXPECT_EQ(results[1].value(), big);
+  EXPECT_EQ(results[2].status(), StatusCode::kNotFound);
+  EXPECT_EQ(client->free_bounce_slots(), cfg.client_bounce_slots);
+  EXPECT_EQ(client->pending_requests(), 0u);
+}
+
 TEST_F(ClientOpsTest, NonblockingIssuedCountsOnlyTheApplicationsOwnCalls) {
   TestBed bed(small_bed(Design::kRdmaMem));
   auto client = bed.make_client("c");
@@ -449,39 +473,6 @@ TEST_F(ClientOpsTest, ConcurrentCasLoopsLoseNoUpdates) {
             std::to_string(kThreads * kAddsEach));
   // With 4 contending writers some conflicts are expected (not required).
   (void)cas_conflicts;
-}
-
-TEST_F(ClientOpsTest, ProtocolCodecsForNewOps) {
-  const auto counter_wire = server::encode_counter("ctr", 42);
-  const auto counter = server::decode_counter(counter_wire);
-  ASSERT_TRUE(counter.has_value());
-  EXPECT_EQ(counter->key, "ctr");
-  EXPECT_EQ(counter->delta, 42u);
-
-  const auto touch_wire = server::encode_touch("t", -7);
-  const auto touch = server::decode_touch(touch_wire);
-  ASSERT_TRUE(touch.has_value());
-  EXPECT_EQ(touch->key, "t");
-  EXPECT_EQ(touch->expiration, -7);
-
-  const auto value_wire = server::encode_counter_value(123456789ULL);
-  EXPECT_EQ(server::decode_counter_value(value_wire).value(), 123456789ULL);
-  const char junk[3] = {1, 2, 3};
-  EXPECT_FALSE(server::decode_counter(std::span<const char>(junk, 3)).has_value());
-  EXPECT_FALSE(server::decode_touch(std::span<const char>(junk, 3)).has_value());
-  EXPECT_FALSE(server::decode_counter_value(std::span<const char>(junk, 3)).has_value());
-
-  const auto cas_wire = server::encode_cas(
-      {.key = "ck", .value = std::span<const char>(junk, 3), .flags = 2,
-       .expiration = 9, .cas = 777});
-  const auto cas_req = server::decode_cas(cas_wire);
-  ASSERT_TRUE(cas_req.has_value());
-  EXPECT_EQ(cas_req->key, "ck");
-  EXPECT_EQ(cas_req->flags, 2u);
-  EXPECT_EQ(cas_req->expiration, 9);
-  EXPECT_EQ(cas_req->cas, 777u);
-  EXPECT_EQ(cas_req->value.size(), 3u);
-  EXPECT_FALSE(server::decode_cas(std::span<const char>(junk, 3)).has_value());
 }
 
 }  // namespace

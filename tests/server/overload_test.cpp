@@ -51,7 +51,7 @@ TEST_F(OverloadTest, ExpiredOnArrivalDroppedBeforeStorePhase) {
   const net::EndpointId server = bed.server(0).endpoint_id();
 
   const std::string value = "must-not-be-stored";
-  const auto inner = server::encode_set(
+  const auto inner = server::encode_request(
       {.key = "doomed", .value = {value.data(), value.size()}});
 
   // deadline_ns = 1 is epoch+1ns: expired for any running steady clock.
@@ -79,7 +79,7 @@ TEST_F(OverloadTest, ExpiredOnArrivalDroppedBeforeStorePhase) {
   std::vector<std::vector<char>> bodies;
   std::vector<server::BatchItem> items;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    bodies.push_back(server::encode_set(
+    bodies.push_back(server::encode_request(
         {.key = keys[i], .value = {value.data(), value.size()}}));
   }
   for (std::uint64_t i = 0; i < 3; ++i) {
@@ -154,7 +154,7 @@ TEST_F(OverloadTest, DefaultsAreByteForBytePreOverload) {
     ASSERT_EQ(client->set("a-key", {value.data(), value.size()}, 7, 60),
               StatusCode::kOk);
     EXPECT_FALSE(saw_deadline.load());
-    const auto expected = server::encode_set(
+    const auto expected = server::encode_request(
         {.key = "a-key",
          .value = {value.data(), value.size()},
          .flags = 7,

@@ -26,24 +26,14 @@ void decode_everything(std::span<const char> payload) {
     for (const char c : view) sum += c;
     g_elision_sink = g_elision_sink + sum;
   };
-  if (const auto set = decode_set(payload)) {
-    touch(std::span<const char>(set->key.data(), set->key.size()));
-    touch(set->value);
-  }
-  if (const auto key = decode_key_request(payload)) {
-    touch(std::span<const char>(key->key.data(), key->key.size()));
+  // One request decoder, under every request opcode.
+  for (std::uint16_t opcode = kOpSet; opcode <= kOpCas; ++opcode) {
+    if (const auto req = decode_request(opcode, payload)) {
+      touch(std::span<const char>(req->key.data(), req->key.size()));
+      touch(req->value);
+    }
   }
   if (const auto resp = decode_response(payload)) touch(resp->value);
-  if (const auto counter = decode_counter(payload)) {
-    touch(std::span<const char>(counter->key.data(), counter->key.size()));
-  }
-  if (const auto tr = decode_touch(payload)) {
-    touch(std::span<const char>(tr->key.data(), tr->key.size()));
-  }
-  if (const auto cr = decode_cas(payload)) {
-    touch(std::span<const char>(cr->key.data(), cr->key.size()));
-    touch(cr->value);
-  }
   (void)decode_counter_value(payload);
   // Batch frames: every sub-view must stay inside `payload`, and the nested
   // bodies are run back through the single-op decoders like the server does.
@@ -61,8 +51,9 @@ void decode_everything(std::span<const char> payload) {
 
 // A representative well-formed kOpBatch frame for the corpus loops.
 std::vector<char> sample_batch_frame(std::span<const char> value) {
-  const auto set_body = encode_set({.key = "bk", .value = value, .flags = 1});
-  const auto get_body = encode_key_request("bk");
+  const auto set_body =
+      encode_request({.key = "bk", .value = value, .flags = 1});
+  const auto get_body = encode_request({.key = "bk"});
   const BatchItem items[] = {
       {.opcode = kOpSet, .wr_id = 11, .payload = set_body},
       {.opcode = kOpGet, .wr_id = 12, .payload = get_body},
@@ -93,19 +84,30 @@ TEST(ProtocolFuzzTest, RandomBytesNeverCrash) {
 
 TEST(ProtocolFuzzTest, TruncationsOfValidFramesAreRejectedOrSafe) {
   const auto value = make_value(1, 100);
+  // One request seed per opcode, each with the fields that opcode reads.
   const std::vector<std::vector<char>> corpus = {
-      encode_set({.key = "some-key", .value = value, .flags = 3, .expiration = 60}),
-      encode_key_request("another-key"),
+      encode_request({.key = "some-key", .value = value, .flags = 3,
+                      .expiration = 60}),                        // set
+      encode_request({.key = "another-key"}),                    // get
+      encode_request({.key = "delete-key"}),                     // delete
+      encode_request({.key = "add-key", .value = value, .flags = 2}),
+      encode_request({.key = "replace-key", .value = value, .expiration = 5}),
+      encode_request({.key = "append-key", .value = value}),
+      encode_request({.key = "prepend-key", .value = value}),
+      encode_request({.key = "counter-key", .arg = 42}),          // incr
+      encode_request({.key = "counter-key", .arg = 7}),           // decr
+      encode_request({.key = "touch-key", .expiration = 1234}),  // touch
+      encode_request({}),                                        // flush_all
+      encode_request({.key = "latency"}),                        // stats
+      encode_request({.key = "gets-key"}),                       // gets
+      encode_request({.key = "cas-key", .value = value, .flags = 1,
+                      .expiration = 2, .arg = 99}),              // cas
       encode_response(StatusCode::kOk, 7, value),
-      encode_counter("counter-key", 42),
-      encode_touch("touch-key", 1234),
-      encode_cas({.key = "cas-key", .value = value, .flags = 1,
-                  .expiration = 2, .cas = 99}),
       encode_counter_value(123456789),
       // Overload-control frames: deadline-wrapped requests and the kBusy
       // status byte on the response path.
-      with_deadline(123456789, encode_key_request("deadline-key")),
-      with_deadline(1, encode_set({.key = "dl", .value = value})),
+      with_deadline(123456789, encode_request({.key = "deadline-key"})),
+      with_deadline(1, encode_request({.key = "dl", .value = value})),
       encode_response(StatusCode::kBusy, 0),
       // Doorbell-batching frames: a coalesced request frame (bare and
       // deadline-wrapped) and a batched response.
@@ -123,7 +125,7 @@ TEST(ProtocolFuzzTest, TruncationsOfValidFramesAreRejectedOrSafe) {
 TEST(ProtocolFuzzTest, SingleByteMutationsAreSafe) {
   Rng rng(0xB17F117);
   const auto value = make_value(2, 64);
-  auto frame = encode_set({.key = "mutate-me", .value = value, .flags = 1});
+  auto frame = encode_request({.key = "mutate-me", .value = value, .flags = 1});
   for (int round = 0; round < 3000; ++round) {
     auto mutated = frame;
     mutated[rng.next_below(mutated.size())] = static_cast<char>(rng.next() & 0xFF);
@@ -132,7 +134,7 @@ TEST(ProtocolFuzzTest, SingleByteMutationsAreSafe) {
 }
 
 TEST(ProtocolFuzzTest, DeadlineHeaderLenientDecode) {
-  const auto inner = encode_key_request("k");
+  const auto inner = encode_request({.key = "k"});
 
   // Well-formed: the deadline comes back and inner is exactly the payload.
   const auto wrapped = with_deadline(42, inner);
@@ -180,11 +182,11 @@ TEST(ProtocolFuzzTest, BatchFrameRoundTrips) {
   EXPECT_EQ((*items)[0].wr_id, 11u);
   EXPECT_EQ((*items)[1].opcode, kOpGet);
   EXPECT_EQ((*items)[1].wr_id, 12u);
-  // The nested bodies decode with the single-op decoders, unchanged.
-  const auto set = decode_set((*items)[0].payload);
+  // The nested bodies decode with the single-op decoder, unchanged.
+  const auto set = decode_request(kOpSet, (*items)[0].payload);
   ASSERT_TRUE(set.has_value());
   EXPECT_EQ(set->key, "bk");
-  const auto get = decode_key_request((*items)[1].payload);
+  const auto get = decode_request(kOpGet, (*items)[1].payload);
   ASSERT_TRUE(get.has_value());
   EXPECT_EQ(get->key, "bk");
 
@@ -256,14 +258,12 @@ TEST(ProtocolFuzzTest, BatchFrameSingleByteMutationsAreSafe) {
 
 TEST(ProtocolFuzzTest, LengthFieldOverflowRejected) {
   // A key_len of ~4GB with a short payload must not wrap any arithmetic.
-  std::vector<char> evil(16, 0);
+  std::vector<char> evil(kRequestHeaderBytes + 16, 0);
   const std::uint32_t huge = 0xFFFFFFFFu;
   std::memcpy(evil.data(), &huge, 4);
-  EXPECT_FALSE(decode_set(evil).has_value());
-  EXPECT_FALSE(decode_key_request(evil).has_value());
-  EXPECT_FALSE(decode_counter(evil).has_value());
-  EXPECT_FALSE(decode_touch(evil).has_value());
-  EXPECT_FALSE(decode_cas(evil).has_value());
+  for (std::uint16_t opcode = kOpSet; opcode <= kOpCas; ++opcode) {
+    EXPECT_FALSE(decode_request(opcode, evil).has_value()) << opcode;
+  }
 }
 
 }  // namespace

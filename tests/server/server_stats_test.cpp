@@ -460,9 +460,8 @@ TEST_F(ServerStatsE2eTest, UnknownStatsSubcommandIsRejectedButCounted) {
   // StatsKind cannot name an unknown subcommand, so a raw endpoint sends
   // the frame the way any other peer could.
   auto raw = bed.fabric().create_endpoint("raw");
-  const std::string what = "nonsense";
   raw->send(bed.server(0).endpoint_id(), server::kOpStats, 1,
-            std::vector<char>(what.begin(), what.end()));
+            server::encode_request({.key = "nonsense"}));
   const auto resp = raw->recv();
   ASSERT_TRUE(resp.ok());
   const auto decoded = server::decode_response(resp.value().payload);
