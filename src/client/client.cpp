@@ -56,7 +56,12 @@ Client::~Client() {
   }
   tx_queue_.close();   // TX drains remaining jobs, then exits
   if (tx_thread_.joinable()) tx_thread_.join();
-  endpoint_->close();  // unblocks RX
+  endpoint_->close();  // unblocks RX in recv()
+  {
+    const MutexLock lock(progress_mu_);
+    rx_stop_ = true;   // unparks RX
+  }
+  progress_cv_.notify_all();
   if (rx_thread_.joinable()) rx_thread_.join();
   complete_all_pending(StatusCode::kShutdown);
   free_slots_.close();
@@ -176,26 +181,96 @@ void Client::post(std::span<const TxJob> run) {
 
 void Client::rx_main() {
   while (true) {
+    {
+      const MutexLock lock(progress_mu_);
+      progress_cv_.wait(progress_mu_, [this]() REQUIRES(progress_mu_) {
+        return rx_stop_ ||
+               (progress_ == Progress::kFree && pending_requests() > 0);
+      });
+      if (rx_stop_) break;
+      progress_ = Progress::kRx;
+    }
+    // Keep the token until nothing is pending: background completion for
+    // iset/iget the application only test()s (Fig 7(a)'s overlap).
+    while (true) {
+      auto msg = endpoint_->recv();
+      if (!msg.ok()) return;  // closed and drained: shutdown
+      dispatch(msg.value());
+      const MutexLock lock(progress_mu_);
+      if (pending_requests() == 0) {
+        progress_ = Progress::kFree;
+        break;
+      }
+    }
+  }
+  // Shutdown while parked: complete whatever replies are still queued
+  // before the destructor fails the rest with kShutdown.
+  while (true) {
     auto msg = endpoint_->recv();
     if (!msg.ok()) break;
-    const net::Message& reply = msg.value();
-    // Each op's reply carries its own wr_id, so completion is the same
-    // whether the ops came back one per frame or batched.
-    const auto frame =
-        server::open_reply(reply.opcode, reply.wr_id, reply.payload);
-    if (!frame.has_value()) {
-      HYKV_WARN("client %llu: unreadable reply (opcode %u, %zu bytes)",
-                static_cast<unsigned long long>(endpoint_->id()),
-                static_cast<unsigned>(reply.opcode), reply.payload.size());
-      continue;  // affected ops will time out and cancel individually
-    }
-    for (const server::BatchResponseItem& op : frame->ops()) {
-      complete_one(op.wr_id, op.payload);
-    }
+    dispatch(msg.value());
   }
 }
 
-void Client::complete_one(std::uint64_t wr_id,
+std::size_t Client::dispatch(const net::Message& reply) {
+  // Each op's reply carries its own wr_id, so completion is the same
+  // whether the ops came back one per frame or batched.
+  const auto frame = server::open_reply(reply.opcode, reply.wr_id, reply.payload);
+  if (!frame.has_value()) {
+    HYKV_WARN("client %llu: unreadable reply (opcode %u, %zu bytes)",
+              static_cast<unsigned long long>(endpoint_->id()),
+              static_cast<unsigned>(reply.opcode), reply.payload.size());
+    return 0;  // affected ops will time out and cancel individually
+  }
+  std::size_t completed = 0;
+  for (const server::BatchResponseItem& op : frame->ops()) {
+    if (complete_one(op.wr_id, op.payload)) ++completed;
+  }
+  return completed;
+}
+
+bool Client::take_progress() {
+  const MutexLock lock(progress_mu_);
+  if (progress_ != Progress::kFree) return false;
+  progress_ = Progress::kCaller;
+  return true;
+}
+
+void Client::release_progress() {
+  const MutexLock lock(progress_mu_);
+  progress_ = Progress::kFree;
+  if (pending_requests() > 0) progress_cv_.notify_one();
+}
+
+bool Client::caller_holds_progress() {
+  const MutexLock lock(progress_mu_);
+  return progress_ == Progress::kCaller;
+}
+
+void Client::wake_progress() {
+  const MutexLock lock(progress_mu_);
+  if (progress_ == Progress::kFree) progress_cv_.notify_one();
+}
+
+bool Client::progress_once(
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
+  Result<net::Message> msg = StatusCode::kTimedOut;
+  if (!deadline.has_value()) {
+    msg = endpoint_->recv();
+  } else {
+    const auto left = *deadline - std::chrono::steady_clock::now();
+    if (left <= left.zero()) return false;
+    msg = endpoint_->recv_for(std::chrono::duration_cast<sim::Nanos>(left));
+  }
+  if (!msg.ok()) return false;
+  const std::size_t completed = dispatch(msg.value());
+  if (completed > 0) {
+    counters_.add(&ClientCounters::caller_completions, completed);
+  }
+  return true;
+}
+
+bool Client::complete_one(std::uint64_t wr_id,
                           std::span<const char> response_bytes) {
   const auto resp = server::decode_response(response_bytes);
 
@@ -207,7 +282,7 @@ void Client::complete_one(std::uint64_t wr_id,
       HYKV_WARN("client %llu: stale response wr=%llu",
                 static_cast<unsigned long long>(endpoint_->id()),
                 static_cast<unsigned long long>(wr_id));
-      return;
+      return false;
     }
     pend = it->second;
     pending_.erase(it);
@@ -245,6 +320,7 @@ void Client::complete_one(std::uint64_t wr_id,
              static_cast<unsigned long long>(wr_id),
              static_cast<unsigned>(status));
   signal_completion(*pend.req, status, flags, value_len);
+  return true;
 }
 
 void Client::signal_completion(Request& req, StatusCode status,
@@ -318,6 +394,8 @@ StatusCode Client::issue(TxJob job, Request& req, int slot, bool is_get,
     counters_.add(&ClientCounters::busy_fail_fast);
     return StatusCode::kBusy;
   }
+  // A blocking caller already holds the token, so this wakes nobody.
+  wake_progress();
   if (config_.propagate_deadline && config_.op_deadline.count() > 0) {
     job.deadline_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           (std::chrono::steady_clock::now() +
@@ -377,7 +455,14 @@ StatusCode Client::start_set(std::string_view key, std::span<const char> value,
   if (staged) {
     // Acquire a pre-registered bounce slot; blocks while the pool is fully
     // in flight (this is the bounded-outstanding-writes backpressure).
-    const auto acquired = free_slots_.pop();
+    // Completions free slots, so a caller holding the progress token pops
+    // replies itself until one is free.
+    auto acquired = free_slots_.try_pop();
+    while (!acquired.has_value() && caller_holds_progress() &&
+           progress_once(std::nullopt)) {
+      acquired = free_slots_.try_pop();
+    }
+    if (!acquired.has_value()) acquired = free_slots_.pop();
     if (!acquired.has_value()) return StatusCode::kShutdown;
     slot = *acquired;
     char* buffer = slots_[static_cast<std::size_t>(slot)].get();
@@ -434,9 +519,33 @@ void Client::wait(Request& req) {
     (void)wait_for(req, config_.op_deadline);
     return;
   }
+  const CallerProgress progress(*this);
+  (void)await(req, progress.held(), std::nullopt);
+}
+
+StatusCode Client::wait_for(Request& req, sim::Nanos timeout) {
+  const CallerProgress progress(*this);
+  return await(req, progress.held(), std::chrono::steady_clock::now() + timeout);
+}
+
+StatusCode Client::await(
+    Request& req, bool driving,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   const sim::TimePoint start = metrics::span_start(latency_.get());
-  park_until([&req] { return req.done(); });
+  // The token holder is the only thread popping replies, so nobody else
+  // completes `req`: pop until it is done (or the deadline passes).
+  while (driving && !req.done() && progress_once(deadline)) {
+  }
+  if (!deadline.has_value()) {
+    park_until([&req] { return req.done(); });
+  } else if (!req.done()) {
+    const MutexLock lock(completion_mu_);
+    completion_cv_.wait_until(completion_mu_, *deadline,
+                              [&req] { return req.done(); });
+  }
   metrics::record_since(latency_.get(), metrics::Span::kClientWait, start);
+  if (req.done()) return req.status();
+  return cancel(req);
 }
 
 StatusCode Client::run_attempts(
@@ -459,31 +568,35 @@ StatusCode Client::run_attempts(
       if (!try_spend_retry_token()) break;
       counters_.add(&ClientCounters::retries);
     }
-    const StatusCode issued = issue_attempt(req);
-    last_server = req.server_;
-    if (issued == StatusCode::kServerDown || issued == StatusCode::kBusy) {
-      // kServerDown: refused before posting (target ejected); a retry
-      // re-selects and may fail over. kBusy: refused by the local fail-fast
-      // window; backing off and retrying is exactly the right response.
-      last = issued;
-    } else if (!ok(issued)) {
-      return issued;  // kShutdown / kInvalidArgument: not retryable
-    } else if (!deadline_on) {
-      wait(req);
-      return req.status();
-    } else {
-      const auto now = Clock::now();
-      if (now >= overall) {
-        last = cancel(req);
-        break;
-      }
-      // Split the remaining budget evenly over the attempts left so a slow
-      // first attempt cannot starve the retries of wait time.
-      const auto slice = (overall - now) / (attempts_max - attempt);
-      last = wait_for(req, std::chrono::duration_cast<sim::Nanos>(slice));
-      if (last != StatusCode::kTimedOut && last != StatusCode::kServerDown &&
-          last != StatusCode::kBusy) {
-        return last;
+    {
+      // Taken before the request is registered, so issuing it wakes no RX
+      // thread: this caller pops its own reply. Handed back before any
+      // backoff nap.
+      const CallerProgress progress(*this);
+      const StatusCode issued = issue_attempt(req);
+      last_server = req.server_;
+      if (issued == StatusCode::kServerDown || issued == StatusCode::kBusy) {
+        // kServerDown: refused before posting (target ejected); a retry
+        // re-selects and may fail over. kBusy: refused by the local
+        // fail-fast window; backing off and retrying is exactly the right
+        // response.
+        last = issued;
+      } else if (!ok(issued)) {
+        return issued;  // kShutdown / kInvalidArgument: not retryable
+      } else if (!deadline_on) {
+        return await(req, progress.held(), std::nullopt);
+      } else {
+        // Split the remaining budget evenly over the attempts left so a
+        // slow first attempt cannot starve the retries of wait time.
+        const auto now = Clock::now();
+        last = now >= overall
+                   ? cancel(req)
+                   : await(req, progress.held(),
+                           now + (overall - now) / (attempts_max - attempt));
+        if (last != StatusCode::kTimedOut &&
+            last != StatusCode::kServerDown && last != StatusCode::kBusy) {
+          return last;
+        }
       }
     }
     if (attempt + 1 < attempts_max) {
@@ -814,22 +927,9 @@ StatusCode Client::cancel(Request& req) {
     signal_completion(req, StatusCode::kTimedOut, 0, 0);
     return StatusCode::kTimedOut;
   }
-  // The progress thread is completing it right now; wait for the verdict.
+  // The RX thread is completing it right now; wait for the verdict.
   park_until([&req] { return req.done(); });
   return req.status();
-}
-
-StatusCode Client::wait_for(Request& req, sim::Nanos timeout) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + timeout;
-  {
-    const MutexLock lock(completion_mu_);
-    completion_cv_.wait_until(completion_mu_, deadline,
-                              [&req] { return req.done(); });
-  }
-  metrics::record_since(latency_.get(), metrics::Span::kClientWait, start);
-  if (req.done()) return req.status();
-  return cancel(req);
 }
 
 ClientCounters Client::counters() const { return counters_.snapshot(); }

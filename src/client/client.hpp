@@ -19,9 +19,10 @@
 //    into the user's destination buffer.
 //
 // Threading: one application thread may call the public API per Client
-// instance; the client runs two internal threads (TX engine and RX progress).
-// Create one Client per application thread for concurrent use (matches
-// libmemcached's non-thread-safe memcached_st).
+// instance; the client runs two internal threads (TX engine and RX
+// progress), and a call that blocks does its own posting and completion
+// work when it can (below). Create one Client per application thread for
+// concurrent use (matches libmemcached's non-thread-safe memcached_st).
 //
 // Who posts a request frame:
 //  - iset/iget (and mget) always queue the job for the TX engine: the call
@@ -33,9 +34,21 @@
 //    then skips two thread hand-offs per op: app -> TX to post, TX -> app to
 //    report "sent". When the engine is busy the job queues behind the
 //    backlog instead, so per-client FIFO order always holds.
+//
+// Who completes a request: whichever thread holds the client's progress
+// token pops the endpoint's replies and completes every request they name.
+//  - A blocking op takes the token before it registers its request, and
+//    wait()/wait_for() take it when it is free. The caller then completes
+//    its own reply (and any earlier iget/iset replies or stale duplicates
+//    that arrive first) on its own thread, and the RX thread sleeps through
+//    the whole op.
+//  - Otherwise the RX thread takes the token as soon as a request is pending
+//    and keeps it until none is, so iset/iget completions the application
+//    only test()s still progress in the background.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -140,7 +153,8 @@ struct ClientConfig {
   X(std::uint64_t, busy_fail_fast) /* issues refused: local window full */  \
   X(std::uint64_t, retry_budget_exhausted) /* retries skipped: no tokens */ \
   X(std::uint64_t, batches_sent) /* batch frames posted by the engine */    \
-  X(std::uint64_t, batched_ops) /* ops that rode inside those frames */
+  X(std::uint64_t, batched_ops) /* ops that rode inside those frames */     \
+  X(std::uint64_t, caller_completions) /* replies completed by the waiter */
 
 struct ClientCounters {
   HYKV_COUNTER_FIELDS(ClientCounters, HYKV_CLIENT_COUNTER_FIELDS)
@@ -156,8 +170,8 @@ struct ClientCounters {
   }
 };
 
-/// Typed `stats` subcommand selector (replaces the stringly-typed `what`
-/// argument of the deprecated stats_text overload).
+/// Typed `stats` subcommand selector for stats_text; each kind names one
+/// wire-level subcommand.
 enum class StatsKind {
   kCounters,  ///< Legacy counter text ("" on the wire; frozen format).
   kLatency,   ///< Histogram percentiles ("latency").
@@ -258,7 +272,8 @@ class Client {
   StatusCode bget(std::string_view key, std::span<char> dest, Request& req);
 
   /// Blocks until `req` completes (memcached_wait). Time spent is recorded
-  /// as the client_wait span.
+  /// as the client_wait span. When the RX thread is not already popping
+  /// replies, the caller pops them itself until `req` is done.
   void wait(Request& req);
 
   /// Like wait() but gives up after `timeout` (real time): the request is
@@ -268,7 +283,8 @@ class Client {
   StatusCode wait_for(Request& req, sim::Nanos timeout);
 
   /// Cancels an in-flight request: completes it with kTimedOut unless it
-  /// already finished. Returns the final status.
+  /// already finished (or the RX thread is completing it right now, in which
+  /// case this waits for that verdict). Returns the final status.
   StatusCode cancel(Request& req);
 
   /// Non-blocking completion check (memcached_test).
@@ -328,8 +344,55 @@ class Client {
     net::EndpointId server = net::kInvalidEndpoint;  ///< Ring health target.
   };
 
+  /// Who holds the progress token (see the file comment).
+  enum class Progress : std::uint8_t { kFree, kRx, kCaller };
+
+  /// The application thread's claim on the progress token: taken at
+  /// construction when free, handed back at destruction.
+  class CallerProgress {
+   public:
+    explicit CallerProgress(Client& client)
+        : client_(client), held_(client.take_progress()) {}
+    ~CallerProgress() {
+      if (held_) client_.release_progress();
+    }
+    CallerProgress(const CallerProgress&) = delete;
+    CallerProgress& operator=(const CallerProgress&) = delete;
+    [[nodiscard]] bool held() const noexcept { return held_; }
+
+   private:
+    Client& client_;
+    bool held_;
+  };
+
   void tx_main();
+  /// Parks until a request is pending and the token is free, then pops
+  /// replies until the pending map is empty; at shutdown drains the
+  /// endpoint.
   void rx_main();
+  /// Takes the token for the application thread; false when it is held.
+  bool take_progress() EXCLUDES(progress_mu_);
+  /// Frees the token, waking the RX thread if requests are still pending.
+  void release_progress() EXCLUDES(progress_mu_, pending_mu_);
+  /// True when the application thread holds the token.
+  bool caller_holds_progress() EXCLUDES(progress_mu_);
+  /// Wakes the RX thread after a request was registered, if the token is
+  /// free (nobody is popping replies).
+  void wake_progress() EXCLUDES(progress_mu_);
+  /// Completes every op in one reply frame; returns how many it completed
+  /// (stale and unreadable replies complete none).
+  std::size_t dispatch(const net::Message& reply);
+  /// Pops and dispatches one reply on the application thread, which holds
+  /// the token. False when the endpoint timed out (`deadline` passed) or
+  /// was closed.
+  bool progress_once(
+      std::optional<std::chrono::steady_clock::time_point> deadline);
+  /// Waits until `req` is done, popping replies while `driving` (the caller
+  /// holds the token), or until `deadline`, then cancels it. Records the
+  /// client_wait span.
+  StatusCode await(Request& req, bool driving,
+                   std::optional<std::chrono::steady_clock::time_point>
+                       deadline);
   /// A job for `op`, with the key and the value copied into it, so a queued
   /// job never reads a caller's buffer that a timeout has handed back.
   [[nodiscard]] static TxJob make_job(std::uint16_t opcode,
@@ -350,8 +413,8 @@ class Client {
   /// Completes the pending op `wr_id` from its raw RESP-encoded bytes
   /// (undecodable bytes complete as kServerError): pending-map erase, GET
   /// value placement, hit/miss + overload counters, bounce-slot release,
-  /// ring health, completion signal.
-  void complete_one(std::uint64_t wr_id, std::span<const char> response_bytes);
+  /// ring health, completion signal. False for a stale reply.
+  bool complete_one(std::uint64_t wr_id, std::span<const char> response_bytes);
   /// Publishes req's result and wakes waiters. Last access to `req`.
   void signal_completion(Request& req, StatusCode status, std::uint32_t flags,
                          std::size_t value_len);
@@ -445,10 +508,16 @@ class Client {
   std::thread rx_thread_;
 
   // Completion signalling: requests carry only atomic flags; sleeping
-  // waiters park on this client-wide cv so the progress threads never touch
-  // a (possibly already destroyed) per-request cv. See request.hpp.
+  // waiters park on this client-wide cv so the completing thread never
+  // touches a (possibly already destroyed) per-request cv. See request.hpp.
   Mutex completion_mu_;
   CondVar completion_cv_;
+
+  // The progress token. Taken before pending_mu_ when both are held.
+  Mutex progress_mu_;
+  CondVar progress_cv_;  ///< The RX thread parks here.
+  Progress progress_ GUARDED_BY(progress_mu_) = Progress::kFree;
+  bool rx_stop_ GUARDED_BY(progress_mu_) = false;
 
   mutable Mutex pending_mu_;
   std::unordered_map<std::uint64_t, Pending> pending_ GUARDED_BY(pending_mu_);
@@ -462,8 +531,8 @@ class Client {
   /// Written by the application, TX and RX threads alike; no lock.
   metrics::CounterSlot<ClientCounters> counters_;
   /// Issue->complete histograms and client spans (null when record_latency
-  /// is off). Written by whichever thread completes a request (rx, cancel,
-  /// shutdown) or waits on one -- recorder slots are atomic, so no lock is
+  /// is off). Written by whichever thread completes a request (the token
+  /// holder, cancel, shutdown) or waits on one -- recorder slots are atomic, so no lock is
   /// involved.
   std::unique_ptr<metrics::LatencyRecorder> latency_;
   /// Retry-token bucket; starts full at config_.retry_budget and is

@@ -8,7 +8,7 @@
 // handle is single-use; Client::*set/*get calls reset() it.
 //
 // Completion signalling deliberately lives in the Client (a client-wide
-// condition variable), not here: the progress thread's *last* access to a
+// condition variable), not here: the completing thread's *last* access to a
 // Request is the release-store of the done flag, so the caller may destroy
 // the handle the moment test()/wait() observes completion -- no
 // destroyed-while-notifying races.
