@@ -153,8 +153,7 @@ void Client::post(std::span<const TxJob> run) {
     const std::span<const char> buffers[] = {job.op.value, job.dest};
     for (const std::span<const char> buffer : buffers) {
       if (!buffer.empty()) {
-        endpoint_->register_memory(const_cast<char*>(buffer.data()),
-                                   buffer.size());
+        endpoint_->register_memory(buffer.data(), buffer.size());
       }
     }
     // The value is read here, on the engine thread for an iset: this is

@@ -9,7 +9,6 @@ FabricProfile FabricProfile::fdr_rdma() {
       .bytes_per_us = 6000.0,  // ~6 GB/s effective
       .per_segment = sim::Nanos{0},
       .segment_bytes = 0,
-      .one_sided = true,
       .doorbell = sim::Nanos{300},
       .registration_base = sim::us(25),
       .registration_per_mb = sim::us(40),
@@ -24,7 +23,6 @@ FabricProfile FabricProfile::ipoib() {
       .bytes_per_us = 1800.0,  // ~1.8 GB/s effective through the TCP stack
       .per_segment = sim::us(2),
       .segment_bytes = 64 * 1024,
-      .one_sided = false,
       .doorbell = sim::us(3),  // syscall-grade send cost
       // Registration is a no-op concept on TCP; model the socket buffer copy
       // costs as zero here (they are folded into per_segment/doorbell).

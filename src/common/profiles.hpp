@@ -32,7 +32,6 @@ struct FabricProfile {
   double bytes_per_us;            ///< Effective payload bandwidth.
   sim::Nanos per_segment;         ///< Kernel/stack cost per segment (IPoIB).
   std::size_t segment_bytes;      ///< Segmentation unit for per_segment.
-  bool one_sided;                 ///< Supports RDMA read/write (verbs only).
   sim::Nanos doorbell;            ///< Cost of posting a work request.
   sim::Nanos registration_base;   ///< ibv_reg_mr fixed cost.
   sim::Nanos registration_per_mb; ///< ibv_reg_mr per-MB pinning cost.

@@ -48,7 +48,7 @@ struct TestBedConfig {
 
   // ---- Fault-injection / failure-handling (chaos tests; all default-off,
   //      leaving the happy path byte-for-byte unchanged) ----
-  /// Deterministic fabric faults (drop/duplicate/delay/link-down/one-sided).
+  /// Deterministic fabric faults (drop/duplicate/delay/link-down).
   net::FaultProfile fabric_faults = net::FaultProfile::none();
   /// Transient SSD I/O errors on every hybrid server's device.
   ssd::SsdFaultProfile ssd_faults{};

@@ -1,8 +1,6 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <optional>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
@@ -39,7 +37,7 @@ std::shared_ptr<Endpoint> Fabric::create_endpoint(std::string name) {
   return ep;
 }
 
-Endpoint* Fabric::find(EndpointId id) {
+Endpoint* Fabric::endpoint(EndpointId id) {
   const MutexLock lock(mu_);
   auto it = endpoints_.find(id);
   return it == endpoints_.end() ? nullptr : it->second.get();
@@ -67,7 +65,7 @@ std::pair<sim::TimePoint, sim::TimePoint> Fabric::reserve_path(
 SendTicket Endpoint::send(EndpointId dst, std::uint16_t opcode,
                           std::uint64_t wr_id, std::span<const char> payload) {
   sim::advance(fabric_.profile().doorbell);
-  Endpoint* target = fabric_.find(dst);
+  Endpoint* target = fabric_.endpoint(dst);
   if (target == nullptr || target->rx_.closed()) {
     // Completed "immediately": nothing was injected. Callers detect the
     // failure at the protocol level (no response -> timeout/shutdown).
@@ -143,113 +141,23 @@ Result<Message> Endpoint::recv_for(sim::Nanos real_timeout) {
   return std::move(*msg);
 }
 
-MemoryRegion Endpoint::register_memory(char* addr, std::size_t len) {
+void Endpoint::register_memory(const char* addr, std::size_t len) {
   const RegCacheKey key{addr, len};
-  std::optional<MemoryRegion> cached;
+  bool cached = false;
   {
     const MutexLock lock(mu_);
-    auto it = reg_cache_.find(key);
-    if (it != reg_cache_.end()) cached = it->second;
+    cached = reg_cache_.contains(key);
   }
-  if (cached.has_value()) {
+  if (cached) {
     stats_.add(&EndpointStats::registration_hits);
     sim::advance(fabric_.profile().registration_cached);
-    return *cached;
+    return;
   }
   // Cold registration: pin pages, build HCA translation entries.
   sim::advance(fabric_.profile().registration_time(len));
   const MutexLock lock(mu_);
-  MemoryRegion region;
-  region.rkey = next_rkey_++;
-  region.addr = addr;
-  region.length = len;
-  reg_cache_.emplace(key, region);
-  exposed_.emplace(region.rkey, region);
+  reg_cache_.insert(key);
   stats_.add(&EndpointStats::registrations);
-  return region;
-}
-
-void Endpoint::deregister_memory(const MemoryRegion& region) {
-  const MutexLock lock(mu_);
-  exposed_.erase(region.rkey);
-  for (auto it = reg_cache_.begin(); it != reg_cache_.end(); ++it) {
-    if (it->second.rkey == region.rkey) {
-      reg_cache_.erase(it);
-      break;
-    }
-  }
-}
-
-StatusCode Endpoint::rdma_write(const RemoteKey& key, std::size_t offset,
-                                std::span<const char> data) {
-  if (!fabric_.profile().one_sided) return StatusCode::kNetworkError;
-  if (const StatusCode injected = check_one_sided_fault(key.endpoint);
-      !ok(injected)) {
-    return injected;
-  }
-  Endpoint* target = fabric_.find(key.endpoint);
-  if (target == nullptr) return StatusCode::kNetworkError;
-  char* dest = nullptr;
-  {
-    const MutexLock lock(target->mu_);
-    auto it = target->exposed_.find(key.rkey);
-    if (it == target->exposed_.end()) return StatusCode::kInvalidArgument;
-    if (offset + data.size() > it->second.length) return StatusCode::kInvalidArgument;
-    dest = it->second.addr + offset;
-  }
-  sim::advance(fabric_.profile().doorbell);
-  const auto [finish, deliver_at] = fabric_.reserve_path(*this, *target, data.size());
-  (void)finish;
-  std::memcpy(dest, data.data(), data.size());
-  // One-sided write completion: payload placed, ack returns (propagation).
-  sim::wait_until(deliver_at);
-  stats_.add(&EndpointStats::one_sided_ops);
-  return StatusCode::kOk;
-}
-
-StatusCode Endpoint::rdma_read(const RemoteKey& key, std::size_t offset,
-                               std::span<char> out) {
-  if (!fabric_.profile().one_sided) return StatusCode::kNetworkError;
-  if (const StatusCode injected = check_one_sided_fault(key.endpoint);
-      !ok(injected)) {
-    return injected;
-  }
-  Endpoint* target = fabric_.find(key.endpoint);
-  if (target == nullptr) return StatusCode::kNetworkError;
-  const char* from = nullptr;
-  {
-    const MutexLock lock(target->mu_);
-    auto it = target->exposed_.find(key.rkey);
-    if (it == target->exposed_.end()) return StatusCode::kInvalidArgument;
-    if (offset + out.size() > it->second.length) return StatusCode::kInvalidArgument;
-    from = it->second.addr + offset;
-  }
-  sim::advance(fabric_.profile().doorbell);
-  // Read: request propagates there (base), data streams back (occupancy),
-  // then propagates back (base).
-  const auto [finish, deliver_at] = fabric_.reserve_path(*this, *target, out.size());
-  (void)finish;
-  sim::wait_until(deliver_at + sim::scaled(fabric_.profile().base_latency));
-  std::memcpy(out.data(), from, out.size());
-  stats_.add(&EndpointStats::one_sided_ops);
-  return StatusCode::kOk;
-}
-
-StatusCode Endpoint::check_one_sided_fault(EndpointId dst) {
-  FaultInjector* faults = fabric_.faults();
-  if (faults == nullptr) return StatusCode::kOk;
-  if (faults->link_down(id_, dst)) {
-    stats_.add(&EndpointStats::faults_link_down);
-    return StatusCode::kNetworkError;
-  }
-  if (faults->fail_one_sided(id_, dst)) {
-    // The op posts (doorbell paid) but completes in error -- the verbs
-    // "completion with error" path.
-    sim::advance(fabric_.profile().doorbell);
-    stats_.add(&EndpointStats::faults_one_sided);
-    return StatusCode::kNetworkError;
-  }
-  return StatusCode::kOk;
 }
 
 void Endpoint::close() { rx_.close(); }

@@ -1,4 +1,4 @@
-// Simulated interconnect with verbs-like semantics.
+// Simulated interconnect with verbs-like two-sided semantics.
 //
 // A Fabric hosts Endpoints (one per client / server process in the paper's
 // deployment). Endpoints exchange Messages; the fabric stamps each message
@@ -11,10 +11,10 @@
 //   Endpoint::send      ~ ibv_post_send(IBV_WR_SEND) + local completion
 //   Endpoint::recv      ~ ibv_poll_cq on the recv CQ (blocking helper)
 //   register_memory     ~ ibv_reg_mr, with a registration cache on top
-//   rdma_write/rdma_read~ one-sided IBV_WR_RDMA_WRITE / _READ (no remote CPU)
 //
-// The IPoIB profile disables one-sided operations and pays kernel costs per
-// segment, which is exactly how the paper's IPoIB-Mem baseline differs.
+// Every design moves requests and replies with send/recv. The IPoIB profile
+// pays kernel costs per segment and syscall-grade posts, which is exactly
+// how the paper's IPoIB-Mem baseline differs.
 #pragma once
 
 #include <atomic>
@@ -23,6 +23,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -38,37 +39,18 @@ namespace hykv::net {
 
 class Fabric;
 
-/// Key naming a remote registered memory region for one-sided access.
-struct RemoteKey {
-  EndpointId endpoint = kInvalidEndpoint;
-  std::uint64_t rkey = 0;
-};
-
-/// A registered memory region (local view). Registration pays the modelled
-/// ibv_reg_mr cost once; the registration cache makes repeat registrations of
-/// the same buffer nearly free (the mechanism that motivates the bset/bget
-/// reusable-buffer design).
-struct MemoryRegion {
-  std::uint64_t rkey = 0;
-  char* addr = nullptr;
-  std::size_t length = 0;
-  [[nodiscard]] bool valid() const noexcept { return rkey != 0; }
-};
-
 /// Per-endpoint message counters. The injected-fault counters stay zero on
 /// a perfect fabric.
 #define HYKV_ENDPOINT_STATS_FIELDS(X)                                      \
   X(std::uint64_t, sends)                                                  \
   X(std::uint64_t, recvs)                                                  \
   X(std::uint64_t, sent_bytes)                                             \
-  X(std::uint64_t, one_sided_ops)                                          \
   X(std::uint64_t, registrations) /* cold ibv_reg_mr calls */              \
   X(std::uint64_t, registration_hits) /* registration-cache hits */        \
   X(std::uint64_t, faults_dropped) /* messages lost by the injector */     \
   X(std::uint64_t, faults_duplicated) /* messages delivered twice */       \
   X(std::uint64_t, faults_delayed) /* messages given extra delay */        \
-  X(std::uint64_t, faults_link_down) /* sends/ops refused: link down */    \
-  X(std::uint64_t, faults_one_sided) /* failed rdma_read/rdma_write ops */
+  X(std::uint64_t, faults_link_down) /* sends refused: link down */
 
 struct EndpointStats {
   HYKV_COUNTER_FIELDS(EndpointStats, HYKV_ENDPOINT_STATS_FIELDS)
@@ -112,17 +94,9 @@ class Endpoint {
 
   /// Registers `len` bytes at `addr` with the (simulated) HCA. First
   /// registration of an (addr, len) pays the full pinning cost; repeats hit
-  /// the registration cache.
-  MemoryRegion register_memory(char* addr, std::size_t len);
-  void deregister_memory(const MemoryRegion& region);
-
-  /// One-sided RDMA write into a remote region (no remote CPU involvement).
-  /// Fails on non-RDMA fabrics (kNetworkError) and bad keys/bounds.
-  StatusCode rdma_write(const RemoteKey& key, std::size_t offset,
-                        std::span<const char> data);
-  /// One-sided RDMA read from a remote region.
-  StatusCode rdma_read(const RemoteKey& key, std::size_t offset,
-                       std::span<char> out);
+  /// the registration cache (the mechanism that motivates the bset/bget
+  /// reusable-buffer design).
+  void register_memory(const char* addr, std::size_t len);
 
   void close();
   [[nodiscard]] bool closed() const { return rx_.closed(); }
@@ -131,26 +105,19 @@ class Endpoint {
  private:
   friend class Fabric;
 
-  /// Injected-failure check shared by the one-sided ops: kOk to proceed.
-  StatusCode check_one_sided_fault(EndpointId dst);
-
   Fabric& fabric_;
   EndpointId id_;
   std::string name_;
   BlockingQueue<Message> rx_;
 
-  /// Counted without a lock: send, recv and recv_for run on different
-  /// threads and only add.
+  /// Counted without a lock: send, recv, recv_for and register_memory run
+  /// on different threads and only add.
   metrics::CounterSlot<EndpointStats> stats_;
 
   Mutex mu_;
-  // Registration cache: (addr, len) -> region. Emulates the lazy
-  // deregistration caches RDMA middleware uses to amortise ibv_reg_mr.
-  std::unordered_map<RegCacheKey, MemoryRegion, RegCacheKeyHash> reg_cache_
-      GUARDED_BY(mu_);
-  std::uint64_t next_rkey_ GUARDED_BY(mu_) = 1;
-  // Regions visible to one-sided remote access, by rkey.
-  std::unordered_map<std::uint64_t, MemoryRegion> exposed_ GUARDED_BY(mu_);
+  // Registration cache: every (addr, len) registered so far. Emulates the
+  // lazy deregistration caches RDMA middleware uses to amortise ibv_reg_mr.
+  std::unordered_set<RegCacheKey, RegCacheKeyHash> reg_cache_ GUARDED_BY(mu_);
   // NIC occupancy horizons for the link model: written only by the owning
   // fabric's reserve_path under ITS lock, never under this->mu_.
   sim::TimePoint tx_free_ GUARDED_BY(fabric_.mu_){};
@@ -184,12 +151,9 @@ class Fabric {
     return total_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Endpoint lookup by id (nullptr when unknown) -- diagnostics/tests.
-  [[nodiscard]] std::shared_ptr<Endpoint> endpoint(EndpointId id) EXCLUDES(mu_) {
-    const MutexLock lock(mu_);
-    auto it = endpoints_.find(id);
-    return it == endpoints_.end() ? nullptr : it->second;
-  }
+  /// Endpoint lookup by id (nullptr when unknown). The pointer stays valid
+  /// for the fabric's lifetime: endpoints are never removed.
+  [[nodiscard]] Endpoint* endpoint(EndpointId id) EXCLUDES(mu_);
 
  private:
   friend class Endpoint;
@@ -201,8 +165,6 @@ class Fabric {
                                                          Endpoint& dst,
                                                          std::size_t size)
       EXCLUDES(mu_);
-
-  Endpoint* find(EndpointId id) EXCLUDES(mu_);
 
   FabricProfile profile_;
   std::unique_ptr<FaultInjector> faults_;

@@ -55,12 +55,6 @@ MessageFault FaultInjector::on_message(EndpointId src, EndpointId dst) {
   return fault;
 }
 
-bool FaultInjector::fail_one_sided(EndpointId src, EndpointId dst) {
-  if (profile_.one_sided_fail_rate <= 0.0) return false;
-  const std::uint64_t ordinal = next_ordinal(src, dst);
-  return draw(src, dst, ordinal, /*salt=*/4) < profile_.one_sided_fail_rate;
-}
-
 void FaultInjector::set_link_down(EndpointId endpoint, bool down) {
   const MutexLock lock(mu_);
   if (down) {

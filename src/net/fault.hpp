@@ -1,16 +1,15 @@
 // Deterministic fault injection for the simulated interconnect.
 //
-// A FaultInjector sits between Endpoint::send / rdma_* and the fabric's link
-// model and decides, per message, whether to drop it, deliver it twice, add
-// extra delay, or fail a one-sided operation. Decisions are pure functions of
+// A FaultInjector sits between Endpoint::send and the fabric's link model
+// and decides, per message, whether to drop it, deliver it twice or add
+// extra delay. Decisions are pure functions of
 // (profile seed, src, dst, per-pair sequence number), so a fixed seed yields
 // the same fault schedule for the same traffic pattern regardless of how the
 // OS interleaves unrelated endpoint pairs -- the property the chaos suite
 // relies on for reproducible failures.
 //
 // "Link down" windows model a crashed/partitioned server: while an endpoint
-// is marked down, every message to or from it is silently dropped and every
-// one-sided op against it fails. Windows are driven explicitly by the test
+// is marked down, every message to or from it is silently dropped. Windows are driven explicitly by the test
 // harness (set_link_down), not by the random schedule, so a test can assert
 // exact recovery behaviour around the window edges.
 //
@@ -30,21 +29,19 @@
 namespace hykv::net {
 
 /// Knobs for the random (seed-driven) part of the failure model. Rates are
-/// probabilities in [0, 1] evaluated independently per message/op.
+/// probabilities in [0, 1] evaluated independently per message.
 struct FaultProfile {
   double drop_rate = 0.0;           ///< Two-sided message loss.
   double duplicate_rate = 0.0;      ///< Message delivered twice.
   double delay_rate = 0.0;          ///< Message delayed by extra_delay.
   sim::Nanos extra_delay{0};        ///< Added (modelled) delay when delayed.
-  double one_sided_fail_rate = 0.0; ///< rdma_read/rdma_write op failure.
   std::uint64_t seed = 1;           ///< Root of the deterministic schedule.
   /// Arms the injector even with all rates zero -- for runs that drive only
   /// explicit link-down windows.
   bool arm = false;
 
   [[nodiscard]] bool enabled() const noexcept {
-    return arm || drop_rate > 0.0 || duplicate_rate > 0.0 ||
-           delay_rate > 0.0 || one_sided_fail_rate > 0.0;
+    return arm || drop_rate > 0.0 || duplicate_rate > 0.0 || delay_rate > 0.0;
   }
 
   /// Perfect fabric -- the fabric skips the injector entirely.
@@ -68,9 +65,6 @@ class FaultInjector {
   /// Fault verdict for the next message src -> dst. Deterministic per
   /// (seed, src, dst, message ordinal on that pair).
   MessageFault on_message(EndpointId src, EndpointId dst);
-
-  /// Whether the next one-sided op issued by src against dst fails.
-  bool fail_one_sided(EndpointId src, EndpointId dst);
 
   /// Marks an endpoint's link down (true) or restores it (false). While
   /// down, all traffic touching the endpoint is dropped.

@@ -41,8 +41,8 @@ TEST(DesignTest, NamesMatchPaper) {
 }
 
 TEST(DesignTest, FabricProfileFollowsTransport) {
-  EXPECT_TRUE(fabric_profile(Design::kRdmaMem).one_sided);
-  EXPECT_FALSE(fabric_profile(Design::kIpoibMem).one_sided);
+  EXPECT_EQ(fabric_profile(Design::kRdmaMem).name, "RDMA-FDR56");
+  EXPECT_EQ(fabric_profile(Design::kIpoibMem).name, "IPoIB-FDR56");
 }
 
 class TestBedAllDesigns : public ::testing::TestWithParam<Design> {

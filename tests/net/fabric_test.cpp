@@ -135,14 +135,12 @@ TEST_F(FabricTest, RegistrationCacheMakesRepeatsCheap) {
   std::vector<char> buffer(1 << 20);
 
   const auto t0 = sim::now();
-  const auto region = a->register_memory(buffer.data(), buffer.size());
+  a->register_memory(buffer.data(), buffer.size());
   const auto cold = sim::now() - t0;
-  ASSERT_TRUE(region.valid());
 
   const auto t1 = sim::now();
-  const auto again = a->register_memory(buffer.data(), buffer.size());
+  a->register_memory(buffer.data(), buffer.size());
   const auto warm = sim::now() - t1;
-  EXPECT_EQ(again.rkey, region.rkey);
   // Cold: 25us + 40us/MB = ~65us. Warm: ~0.2us.
   EXPECT_GE(cold, sim::us(50));
   EXPECT_LT(warm * 10, cold);
@@ -151,61 +149,25 @@ TEST_F(FabricTest, RegistrationCacheMakesRepeatsCheap) {
   EXPECT_EQ(stats.registration_hits, 1u);
 }
 
-TEST_F(FabricTest, DeregisterForgetsRegion) {
+TEST_F(FabricTest, RegistrationCacheKeysOnAddressAndLength) {
+  // The cache is keyed on the exact (addr, len) pair: neither a prefix of a
+  // registered buffer nor a same-sized buffer elsewhere may alias it.
+  sim::set_time_scale(0.0);
   Fabric fabric(FabricProfile::fdr_rdma());
   auto a = fabric.create_endpoint("a");
-  std::vector<char> buffer(4096);
-  const auto region = a->register_memory(buffer.data(), buffer.size());
-  a->deregister_memory(region);
-  const auto again = a->register_memory(buffer.data(), buffer.size());
-  EXPECT_NE(again.rkey, region.rkey);  // re-registered cold
-  EXPECT_EQ(a->stats().registrations, 2u);
-}
+  std::vector<char> buffer(8192);
+  const char* base = buffer.data();
 
-TEST_F(FabricTest, OneSidedWriteReadRoundTrip) {
-  Fabric fabric(FabricProfile::fdr_rdma());
-  auto client = fabric.create_endpoint("client");
-  auto server = fabric.create_endpoint("server");
-  std::vector<char> server_buf(8192, 0);
-  const auto region = server->register_memory(server_buf.data(), server_buf.size());
-  const RemoteKey key{server->id(), region.rkey};
+  a->register_memory(base, 4096);
+  a->register_memory(base, 2048);         // same address, other length
+  a->register_memory(base + 4096, 4096);  // other address, same length
+  EXPECT_EQ(a->stats().registrations, 3u);
+  EXPECT_EQ(a->stats().registration_hits, 0u);
 
-  const auto payload = make_value(7, 4096);
-  ASSERT_EQ(client->rdma_write(key, 1024, payload), StatusCode::kOk);
-  // The server CPU never ran: bytes are simply present in its memory.
-  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), server_buf.begin() + 1024));
-
-  std::vector<char> readback(4096);
-  ASSERT_EQ(client->rdma_read(key, 1024, readback), StatusCode::kOk);
-  EXPECT_EQ(readback, payload);
-  EXPECT_EQ(client->stats().one_sided_ops, 2u);
-  EXPECT_EQ(server->stats().recvs, 0u);
-}
-
-TEST_F(FabricTest, OneSidedRejectedOnIpoib) {
-  Fabric fabric(FabricProfile::ipoib());
-  auto a = fabric.create_endpoint("a");
-  auto b = fabric.create_endpoint("b");
-  std::vector<char> buf(128);
-  const auto region = b->register_memory(buf.data(), buf.size());
-  std::vector<char> data(64);
-  EXPECT_EQ(a->rdma_write({b->id(), region.rkey}, 0, data),
-            StatusCode::kNetworkError);
-  EXPECT_EQ(a->rdma_read({b->id(), region.rkey}, 0, data),
-            StatusCode::kNetworkError);
-}
-
-TEST_F(FabricTest, OneSidedBoundsChecked) {
-  Fabric fabric(FabricProfile::fdr_rdma());
-  auto a = fabric.create_endpoint("a");
-  auto b = fabric.create_endpoint("b");
-  std::vector<char> buf(128);
-  const auto region = b->register_memory(buf.data(), buf.size());
-  std::vector<char> data(64);
-  EXPECT_EQ(a->rdma_write({b->id(), region.rkey}, 100, data),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(a->rdma_write({b->id(), 999}, 0, data), StatusCode::kInvalidArgument);
-  EXPECT_EQ(a->rdma_write({9999, region.rkey}, 0, data), StatusCode::kNetworkError);
+  a->register_memory(base, 2048);
+  a->register_memory(base + 4096, 4096);
+  EXPECT_EQ(a->stats().registrations, 3u);
+  EXPECT_EQ(a->stats().registration_hits, 2u);
 }
 
 TEST_F(FabricTest, ManyMessagesArriveInOrderPerPair) {

@@ -170,28 +170,8 @@ TEST_F(FaultTest, NoneProfileConstructsNoInjector) {
   ASSERT_TRUE(b->recv().ok());
   const auto stats = a->stats();
   EXPECT_EQ(stats.faults_dropped + stats.faults_duplicated +
-                stats.faults_delayed + stats.faults_link_down +
-                stats.faults_one_sided,
+                stats.faults_delayed + stats.faults_link_down,
             0u);
-}
-
-TEST_F(FaultTest, OneSidedOpsFailAgainstDownEndpoint) {
-  FaultProfile profile;
-  profile.arm = true;
-  Fabric fabric(FabricProfile::fdr_rdma(), profile);
-  auto a = fabric.create_endpoint("a");
-  auto b = fabric.create_endpoint("b");
-  std::vector<char> remote(4096);
-  const auto region = b->register_memory(remote.data(), remote.size());
-  const RemoteKey key{.endpoint = b->id(), .rkey = region.rkey};
-  std::vector<char> local(4096);
-  EXPECT_EQ(a->rdma_read(key, 0, local), StatusCode::kOk);
-  fabric.set_link_down(b->id(), true);
-  EXPECT_EQ(a->rdma_read(key, 0, local), StatusCode::kNetworkError);
-  EXPECT_EQ(a->rdma_write(key, 0, local), StatusCode::kNetworkError);
-  EXPECT_EQ(a->stats().faults_link_down, 2u);
-  fabric.set_link_down(b->id(), false);
-  EXPECT_EQ(a->rdma_read(key, 0, local), StatusCode::kOk);
 }
 
 }  // namespace
