@@ -63,7 +63,7 @@ double run_cell(Cell& cell, sim::Nanos op_cost, std::uint64_t ops_per_thread) {
     // Preload outside modelled time (the established preload idiom).
     sim::ScopedTimeScale preload_scale(0.0);
     for (std::size_t i = 0; i < kKeys; ++i) {
-      (void)manager.set(make_key(i), make_value(i, kValueBytes), 0, 0);
+      (void)manager.store(make_key(i), make_value(i, kValueBytes), 0, 0);
     }
   }
 
@@ -81,7 +81,7 @@ double run_cell(Cell& cell, sim::Nanos op_cost, std::uint64_t ops_per_thread) {
         if ((x >> 8) % 100 < cell.read_pct) {
           (void)manager.get(key, out, flags);
         } else {
-          (void)manager.set(key, make_value(x % kKeys, kValueBytes), 0, 0);
+          (void)manager.store(key, make_value(x % kKeys, kValueBytes), 0, 0);
         }
       }
     });

@@ -68,7 +68,7 @@ double run_cell(unsigned shards, unsigned threads, sim::Nanos op_cost,
     // Preload outside modelled time (the established preload idiom).
     sim::ScopedTimeScale preload_scale(0.0);
     for (std::size_t i = 0; i < kKeys; ++i) {
-      (void)manager.set(make_key(i), make_value(i, kValueBytes), 0, 0);
+      (void)manager.store(make_key(i), make_value(i, kValueBytes), 0, 0);
     }
   }
 
@@ -84,7 +84,7 @@ double run_cell(unsigned shards, unsigned threads, sim::Nanos op_cost,
         x = mix64(x + op);
         const std::string key = make_key(x % kKeys);
         if (x & 1) {
-          (void)manager.set(key, make_value(x % kKeys, kValueBytes), 0, 0);
+          (void)manager.store(key, make_value(x % kKeys, kValueBytes), 0, 0);
         } else {
           (void)manager.get(key, out, flags);
         }
@@ -170,7 +170,7 @@ int main() {
     {
       sim::ScopedTimeScale preload_scale(0.0);
       for (std::size_t i = 0; i < kKeys; ++i) {
-        (void)manager.set(make_key(i), make_value(i, kValueBytes), 0, 0);
+        (void)manager.store(make_key(i), make_value(i, kValueBytes), 0, 0);
       }
     }
     std::vector<char> out;
@@ -181,7 +181,7 @@ int main() {
       x = mix64(x + op);
       const std::string key = make_key(x % kKeys);
       if (x & 1) {
-        (void)manager.set(key, make_value(x % kKeys, kValueBytes), 0, 0);
+        (void)manager.store(key, make_value(x % kKeys, kValueBytes), 0, 0);
       } else {
         (void)manager.get(key, out, flags);
       }

@@ -116,7 +116,7 @@ void BM_ManagerSetGetInMemory(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
     const auto key = make_key(i++ % 1000);
-    manager.set(key, value, 0, 0);
+    manager.store(key, value, 0, 0);
     benchmark::DoNotOptimize(manager.get(key, out, flags));
   }
   sim::set_time_scale(1.0);

@@ -1,9 +1,10 @@
 // Hash functions used across hykv.
 //
 // - jenkins_oaat: memcached's classic one-at-a-time key hash; used by the
-//   server hash table and the client's server-selection ring so that our
-//   key->server mapping matches libmemcached's default behaviour class.
-// - xxh64: fast 64-bit hash for checksums, dedup and test fixtures.
+//   server hash table (store/hash_map.hpp) and, through its top bits, by
+//   ShardedManager's shard selection.
+// - xxh64: fast 64-bit hash; places keys on the client's server-selection
+//   ring (client/ring.hpp) and serves checksums, dedup and test fixtures.
 // - fnv1a64: simple/seedable; used where incremental hashing is handy.
 // - crc32c (software): item payload integrity checks on the SSD path.
 #pragma once

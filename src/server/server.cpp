@@ -303,33 +303,33 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
   StatusCode& status = result.status;
   switch (opcode) {
     case kOpSet:
-      status = manager_.set(req->key, req->value, req->flags, req->expiration);
-      break;
     case kOpAdd:
-      status = manager_.add(req->key, req->value, req->flags, req->expiration);
-      break;
     case kOpReplace:
-      status =
-          manager_.replace(req->key, req->value, req->flags, req->expiration);
+    case kOpCas: {
+      // One store path: the opcode only picks the commit's precondition.
+      using store::Condition;
+      const Condition::Kind kind = opcode == kOpSet       ? Condition::kAlways
+                                   : opcode == kOpAdd     ? Condition::kAbsent
+                                   : opcode == kOpReplace ? Condition::kPresent
+                                                          : Condition::kVersion;
+      status = manager_.store(req->key, req->value, req->flags,
+                              req->expiration, Condition{kind, req->arg});
       break;
+    }
     case kOpAppend:
-      status = manager_.append(req->key, req->value);
-      break;
     case kOpPrepend:
-      status = manager_.prepend(req->key, req->value);
-      break;
-    case kOpCas:
-      status = manager_.cas(req->key, req->value, req->flags, req->expiration,
-                            req->arg);
-      break;
     case kOpIncr:
     case kOpDecr: {
-      const auto counter = opcode == kOpIncr
-                               ? manager_.incr(req->key, req->arg)
-                               : manager_.decr(req->key, req->arg);
-      status = counter.status();
-      if (counter.ok()) {
-        value = encode_counter_value(counter.value());
+      using store::Update;
+      const Update::Kind kind = opcode == kOpAppend    ? Update::kAppend
+                                : opcode == kOpPrepend ? Update::kPrepend
+                                : opcode == kOpIncr    ? Update::kIncr
+                                                       : Update::kDecr;
+      const auto updated =
+          manager_.update(req->key, Update{kind, req->value, req->arg});
+      status = updated.status();
+      if (updated.ok() && (kind == Update::kIncr || kind == Update::kDecr)) {
+        value = encode_counter_value(updated.value());
         result.has_value = true;
       }
       break;
@@ -341,7 +341,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
     case kOpGets: {
       std::vector<char> raw;
       std::uint64_t cas = 0;
-      status = manager_.gets(req->key, raw, result.flags, cas);
+      status = manager_.get(req->key, raw, result.flags, &cas);
       if (ok(status)) {
         value.resize(8 + raw.size());
         std::memcpy(value.data(), &cas, 8);

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "common/atomic_bytes.hpp"
@@ -133,6 +133,19 @@ void HybridSlabManager::release_record_locked(
   const std::size_t bytes =
       SsdItemFraming::record_size(record->key_len, record->value_len);
   stats_.ssd_live_bytes -= std::min<std::uint64_t>(stats_.ssd_live_bytes, bytes);
+}
+
+void HybridSlabManager::displace_locked(Entry& entry) {
+  if (ItemHeader* item = entry.ram.load(std::memory_order_relaxed)) {
+    // Unpublish before retiring: a lock-free reader that already loaded the
+    // pointer finishes on the chunk in limbo, new readers see no RAM item.
+    entry.ram.store(nullptr, std::memory_order_release);
+    retire_ram_item(item);
+  }
+  if (entry.ssd != nullptr) {
+    release_record_locked(entry.ssd);
+    entry.ssd.reset();
+  }
 }
 
 void HybridSlabManager::note_io_failure_locked() {
@@ -349,16 +362,15 @@ char* HybridSlabManager::allocate_with_reclaim(unsigned cls) {
   return nullptr;
 }
 
-StatusCode HybridSlabManager::set(std::string_view key,
-                                  std::span<const char> value,
-                                  std::uint32_t flags,
-                                  std::int64_t expiration) {
+StatusCode HybridSlabManager::store(std::string_view key,
+                                    std::span<const char> value,
+                                    std::uint32_t flags,
+                                    std::int64_t expiration, Condition cond) {
   if (key.empty()) return StatusCode::kInvalidArgument;
   const std::size_t total = item_total_size(key.size(), value.size());
   const unsigned cls = slabs_.class_for(total);
   if (cls == kInvalidClass) return StatusCode::kInvalidArgument;
-  const std::int64_t expiry =
-      expiration == 0 ? 0 : steady_seconds() + expiration;
+  std::int64_t expiry = expiration == 0 ? 0 : steady_seconds() + expiration;
 
   const MutexLock lock(mu_);
   if (config_.modelled_op_cost.count() > 0) {
@@ -369,33 +381,35 @@ StatusCode HybridSlabManager::set(std::string_view key,
   // same slab class and the key matches -- the common hot-key update. No
   // allocation, no flush churn; memcached-grade stores optimise this case
   // and without it a write-heavy Zipf workload would evict on every update.
-  {
-    const sim::TimePoint check_start = metrics::span_start(config_.latency);
-    Entry* hot = index_.find(key);
-    ItemHeader* item =
-        hot != nullptr ? hot->ram.load(std::memory_order_relaxed) : nullptr;
-    if (item != nullptr && item->slab_class == cls &&
-        item->key_len == key.size()) {
-      metrics::record_since(config_.latency, Span::kCacheCheckLoad,
-                            check_start);
-      const sim::TimePoint update_start = metrics::span_start(config_.latency);
-      // Published item: optimistic readers may be copying it right now, so
-      // the in-place mutation runs under the seqlock bracket and every store
-      // is a relaxed atomic (tears are detected, never undefined).
-      const std::uint64_t even = seq_write_begin(item);
-      seq_store(item->value_len, static_cast<std::uint32_t>(value.size()));
-      seq_store(item->flags, flags);
-      seq_store(item->expiry, expiry);
-      seq_store(item->cas, cas_seq_++);
-      if (!value.empty()) {
-        atomic_store_bytes(item->value_data(), value.data(), value.size());
-      }
-      seq_write_end(item, even);
-      lru_[cls].move_to_front(item);
-      ++stats_.sets;
-      metrics::record_since(config_.latency, Span::kCacheUpdate, update_start);
-      return StatusCode::kOk;
+  sim::TimePoint check_start = metrics::span_start(config_.latency);
+  Entry* existing = index_.find(key);
+  if (const StatusCode verdict = check_locked(existing, cond, flags, expiry);
+      !ok(verdict)) {
+    metrics::record_since(config_.latency, Span::kCacheCheckLoad, check_start);
+    return verdict;
+  }
+  ItemHeader* hot =
+      existing != nullptr ? existing->ram.load(std::memory_order_relaxed)
+                          : nullptr;
+  if (hot != nullptr && hot->slab_class == cls && hot->key_len == key.size()) {
+    metrics::record_since(config_.latency, Span::kCacheCheckLoad, check_start);
+    const sim::TimePoint update_start = metrics::span_start(config_.latency);
+    // Published item: optimistic readers may be copying it right now, so
+    // the in-place mutation runs under the seqlock bracket and every store
+    // is a relaxed atomic (tears are detected, never undefined).
+    const std::uint64_t even = seq_write_begin(hot);
+    seq_store(hot->value_len, static_cast<std::uint32_t>(value.size()));
+    seq_store(hot->flags, flags);
+    seq_store(hot->expiry, expiry);
+    seq_store(hot->cas, cas_seq_++);
+    if (!value.empty()) {
+      atomic_store_bytes(hot->value_data(), value.data(), value.size());
     }
+    seq_write_end(hot, even);
+    lru_[cls].move_to_front(hot);
+    ++stats_.sets;
+    metrics::record_since(config_.latency, Span::kCacheUpdate, update_start);
+    return StatusCode::kOk;
   }
 
   // Slab allocation (including any flush/eviction it triggers).
@@ -404,18 +418,18 @@ StatusCode HybridSlabManager::set(std::string_view key,
   metrics::record_since(config_.latency, Span::kSlabAllocation, alloc_start);
   if (chunk == nullptr) return StatusCode::kOutOfMemory;
 
-  // Cache check: displace any previous version of the key. (The entry must
-  // be re-looked-up here: the lock may have been dropped during a flush.)
-  const sim::TimePoint check_start = metrics::span_start(config_.latency);
-  Entry* existing = index_.find(key);
-  if (existing != nullptr) {
-    ItemHeader* old = existing->ram.load(std::memory_order_relaxed);
-    if (old != nullptr) {
-      existing->ram.store(nullptr, std::memory_order_release);
-      retire_ram_item(old);
-    }
-    if (existing->ssd != nullptr) release_record_locked(existing->ssd);
+  // Cache check: displace any previous version of the key. The entry is
+  // looked up, and the condition checked, again: the allocation may have
+  // dropped the lock for a flush while another writer ran.
+  check_start = metrics::span_start(config_.latency);
+  existing = index_.find(key);
+  if (const StatusCode verdict = check_locked(existing, cond, flags, expiry);
+      !ok(verdict)) {
+    slabs_.deallocate(chunk, cls);
+    metrics::record_since(config_.latency, Span::kCacheCheckLoad, check_start);
+    return verdict;
   }
+  if (existing != nullptr) displace_locked(*existing);
   metrics::record_since(config_.latency, Span::kCacheCheckLoad, check_start);
 
   // Cache update: format the item, (re)index it, promote to LRU head. The
@@ -425,7 +439,6 @@ StatusCode HybridSlabManager::set(std::string_view key,
   ItemHeader* item = format_item(chunk, key, value, flags, expiry, cls);
   item->cas = cas_seq_++;
   if (existing != nullptr) {
-    existing->ssd.reset();
     existing->ram.store(item, std::memory_order_release);
   } else {
     index_.upsert(key, Entry{item, nullptr});
@@ -437,11 +450,12 @@ StatusCode HybridSlabManager::set(std::string_view key,
 }
 
 StatusCode HybridSlabManager::get(std::string_view key, std::vector<char>& out,
-                                  std::uint32_t& flags) {
+                                  std::uint32_t& flags, std::uint64_t* cas) {
   // One timestamp classifies the whole read by outcome: a GET that falls
   // back pays the failed optimistic attempt too, and that full cost lands in
   // the locked_read span (the cost the fallback actually imposed).
   const sim::TimePoint read_start = metrics::span_start(config_.latency);
+  bool pay_modelled_cost = true;
   if (config_.optimistic_reads) {
     // The modelled per-op CPU cost is realised *outside* any lock here: on
     // the optimistic design the hash/copy work genuinely runs without the
@@ -449,18 +463,16 @@ StatusCode HybridSlabManager::get(std::string_view key, std::vector<char>& out,
     if (config_.modelled_op_cost.count() > 0) {
       sim::advance_coarse(config_.modelled_op_cost);
     }
-    if (try_optimistic_get(key, out, flags, nullptr)) {
+    // The seqlock bracket snapshots (value, flags, cas) atomically, so a CAS
+    // token always matches the returned bytes.
+    if (try_optimistic_get(key, out, flags, cas)) {
       metrics::record_since(config_.latency, Span::kOptimisticRead, read_start);
       return StatusCode::kOk;
     }
     opt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    const StatusCode code =
-        get_locked(key, out, flags, /*pay_modelled_cost=*/false);
-    metrics::record_since(config_.latency, Span::kLockedRead, read_start);
-    return code;
+    pay_modelled_cost = false;
   }
-  const StatusCode code =
-      get_locked(key, out, flags, /*pay_modelled_cost=*/true);
+  const StatusCode code = get_locked(key, out, flags, cas, pay_modelled_cost);
   metrics::record_since(config_.latency, Span::kLockedRead, read_start);
   return code;
 }
@@ -512,6 +524,7 @@ bool HybridSlabManager::try_optimistic_get(std::string_view key,
 StatusCode HybridSlabManager::get_locked(std::string_view key,
                                          std::vector<char>& out,
                                          std::uint32_t& flags,
+                                         std::uint64_t* cas,
                                          bool pay_modelled_cost) {
   MutexLock lock(mu_);
   if (pay_modelled_cost && config_.modelled_op_cost.count() > 0) {
@@ -542,6 +555,7 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
     }
     out.assign(item->value_data(), item->value_data() + item->value_len);
     flags = item->flags;
+    if (cas != nullptr) *cas = item->cas;
     ++stats_.ram_hits;
     charge_check();
     const sim::TimePoint update_start = metrics::span_start(config_.latency);
@@ -599,6 +613,9 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
     }
   }
   flags = record->flags;
+  // The pinned record's CAS is that of the bytes just read, even if a writer
+  // replaced the key while the lock was dropped.
+  if (cas != nullptr) *cas = record->cas;
   charge_check();  // SSD load is part of "Cache Check and Load"
 
   lock.lock();
@@ -668,117 +685,78 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
   return StatusCode::kOk;
 }
 
-StatusCode HybridSlabManager::add(std::string_view key,
-                                  std::span<const char> value,
-                                  std::uint32_t flags,
-                                  std::int64_t expiration) {
-  if (exists(key)) return StatusCode::kNotStored;
-  // Benign TOCTOU with concurrent setters: a racing set simply wins, which
-  // matches memcached's last-writer semantics under its coarse lock.
-  return set(key, value, flags, expiration);
-}
-
-StatusCode HybridSlabManager::replace(std::string_view key,
-                                      std::span<const char> value,
-                                      std::uint32_t flags,
-                                      std::int64_t expiration) {
-  if (!exists(key)) return StatusCode::kNotStored;
-  return set(key, value, flags, expiration);
-}
-
-StatusCode HybridSlabManager::append(std::string_view key,
-                                     std::span<const char> suffix) {
-  std::vector<char> current;
-  std::uint32_t flags = 0;
-  const StatusCode code = get(key, current, flags);
-  if (!ok(code)) {
-    return code == StatusCode::kNotFound ? StatusCode::kNotStored : code;
-  }
-  current.insert(current.end(), suffix.begin(), suffix.end());
-  return set(key, current, flags, 0);
-}
-
-StatusCode HybridSlabManager::prepend(std::string_view key,
-                                      std::span<const char> prefix) {
-  std::vector<char> current;
-  std::uint32_t flags = 0;
-  const StatusCode code = get(key, current, flags);
-  if (!ok(code)) {
-    return code == StatusCode::kNotFound ? StatusCode::kNotStored : code;
-  }
-  current.insert(current.begin(), prefix.begin(), prefix.end());
-  return set(key, current, flags, 0);
-}
-
 namespace {
-bool parse_ascii_u64(std::span<const char> bytes, std::uint64_t& out) {
-  if (bytes.empty() || bytes.size() > 20) return false;
+
+// Applies a counter op to an ASCII unsigned integer in place. False if the
+// value is not one (memcached answers CLIENT_ERROR).
+bool apply_counter(const Update& op, std::vector<char>& value,
+                   std::uint64_t& counter) {
+  if (value.empty() || value.size() > 20) return false;
   std::uint64_t v = 0;
-  for (const char c : bytes) {
+  for (const char c : value) {
     if (c < '0' || c > '9') return false;
     v = v * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  out = v;
+  if (op.kind == Update::kIncr) {
+    v += op.delta;  // memcached wraps on overflow; uint64 wrap matches
+  } else {
+    v = v > op.delta ? v - op.delta : 0;  // memcached saturates decr at 0
+  }
+  counter = v;
+  const std::string digits = std::to_string(v);
+  value.assign(digits.begin(), digits.end());
   return true;
 }
+
 }  // namespace
 
-Result<std::uint64_t> HybridSlabManager::incr(std::string_view key,
-                                              std::uint64_t delta) {
-  std::vector<char> current;
-  std::uint32_t flags = 0;
-  const StatusCode code = get(key, current, flags);
-  if (!ok(code)) return code;
-  std::uint64_t value = 0;
-  if (!parse_ascii_u64(current, value)) return StatusCode::kInvalidArgument;
-  value += delta;  // memcached wraps on overflow; uint64 wrap matches
-  char buf[24];
-  const int len = std::snprintf(buf, sizeof(buf), "%llu",
-                                static_cast<unsigned long long>(value));
-  const StatusCode stored = set(key, std::span<const char>(buf, static_cast<std::size_t>(len)),
-                                flags, 0);
-  if (!ok(stored)) return stored;
-  return value;
-}
-
-Result<std::uint64_t> HybridSlabManager::decr(std::string_view key,
-                                              std::uint64_t delta) {
-  std::vector<char> current;
-  std::uint32_t flags = 0;
-  const StatusCode code = get(key, current, flags);
-  if (!ok(code)) return code;
-  std::uint64_t value = 0;
-  if (!parse_ascii_u64(current, value)) return StatusCode::kInvalidArgument;
-  value = value > delta ? value - delta : 0;  // memcached saturates decr at 0
-  char buf[24];
-  const int len = std::snprintf(buf, sizeof(buf), "%llu",
-                                static_cast<unsigned long long>(value));
-  const StatusCode stored = set(key, std::span<const char>(buf, static_cast<std::size_t>(len)),
-                                flags, 0);
-  if (!ok(stored)) return stored;
-  return value;
+Result<std::uint64_t> HybridSlabManager::update(std::string_view key,
+                                                const Update& op) {
+  const bool counter_op = op.kind == Update::kIncr || op.kind == Update::kDecr;
+  // memcached: append/prepend to a missing key is NOT_STORED, incr/decr is
+  // NOT_FOUND.
+  const StatusCode absent =
+      counter_op ? StatusCode::kNotFound : StatusCode::kNotStored;
+  std::vector<char> value;
+  for (;;) {
+    std::uint32_t flags = 0;
+    std::uint64_t cas = 0;
+    const StatusCode read = get(key, value, flags, &cas);
+    if (read == StatusCode::kNotFound) return absent;
+    if (!ok(read)) return read;
+    std::uint64_t counter = 0;
+    if (op.kind == Update::kAppend) {
+      value.insert(value.end(), op.bytes.begin(), op.bytes.end());
+    } else if (op.kind == Update::kPrepend) {
+      value.insert(value.begin(), op.bytes.begin(), op.bytes.end());
+    } else if (!apply_counter(op, value, counter)) {
+      return StatusCode::kInvalidArgument;
+    }
+    const StatusCode committed =
+        store(key, value, flags, 0,
+              Condition{Condition::kVersionKeepMeta, cas});
+    if (committed == StatusCode::kNotStored) continue;  // lost to a writer
+    if (committed == StatusCode::kNotFound) return absent;
+    if (!ok(committed)) return committed;
+    return counter;
+  }
 }
 
 StatusCode HybridSlabManager::touch(std::string_view key,
                                     std::int64_t expiration) {
   const MutexLock lock(mu_);
   Entry* entry = index_.find(key);
-  if (entry == nullptr) return StatusCode::kNotFound;
+  if (current_cas_locked(entry) == 0) return StatusCode::kNotFound;
   const std::int64_t expiry =
       expiration == 0 ? 0 : steady_seconds() + expiration;
   if (ItemHeader* item = entry->ram.load(std::memory_order_relaxed)) {
-    if (expired(item->expiry)) return StatusCode::kNotFound;
     // Single aligned field: a bare relaxed-atomic store suffices (a
     // concurrent optimistic read of the old expiry linearises before).
     seq_store(item->expiry, expiry);
-    return StatusCode::kOk;
-  }
-  if (entry->ssd != nullptr) {
-    if (expired(entry->ssd->expiry)) return StatusCode::kNotFound;
+  } else {
     entry->ssd->expiry = expiry;
-    return StatusCode::kOk;
   }
-  return StatusCode::kNotFound;
+  return StatusCode::kOk;
 }
 
 std::uint64_t HybridSlabManager::current_cas_locked(const Entry* entry) const {
@@ -792,110 +770,34 @@ std::uint64_t HybridSlabManager::current_cas_locked(const Entry* entry) const {
   return 0;
 }
 
-StatusCode HybridSlabManager::gets(std::string_view key, std::vector<char>& out,
-                                   std::uint32_t& flags, std::uint64_t& cas) {
-  const sim::TimePoint read_start = metrics::span_start(config_.latency);
-  if (config_.optimistic_reads) {
-    if (config_.modelled_op_cost.count() > 0) {
-      sim::advance_coarse(config_.modelled_op_cost);
+StatusCode HybridSlabManager::check_locked(const Entry* entry,
+                                           const Condition& cond,
+                                           std::uint32_t& flags,
+                                           std::int64_t& expiry) const {
+  if (cond.kind == Condition::kAlways) {
+    return StatusCode::kOk;  // set: no version lookup on the hot path
+  }
+  const std::uint64_t current = current_cas_locked(entry);
+  if (cond.kind == Condition::kAbsent) {
+    return current == 0 ? StatusCode::kOk : StatusCode::kNotStored;
+  }
+  if (current == 0) {
+    // replace: NOT_STORED. cas: NOT_FOUND whatever the token, 0 included.
+    return cond.kind == Condition::kPresent ? StatusCode::kNotStored
+                                            : StatusCode::kNotFound;
+  }
+  if (cond.kind == Condition::kPresent) return StatusCode::kOk;
+  // memcached cas: EXISTS (kNotStored here) when the version moved on.
+  if (current != cond.cas) return StatusCode::kNotStored;
+  if (cond.kind == Condition::kVersionKeepMeta) {
+    if (const ItemHeader* item = entry->ram.load(std::memory_order_relaxed)) {
+      flags = item->flags;
+      expiry = item->expiry;
+    } else {
+      flags = entry->ssd->flags;
+      expiry = entry->ssd->expiry;
     }
-    // The seqlock bracket snapshots (value, flags, cas) atomically, so the
-    // CAS token always matches the returned bytes -- the same guarantee the
-    // locked path gets from holding the mutex.
-    if (try_optimistic_get(key, out, flags, &cas)) {
-      metrics::record_since(config_.latency, Span::kOptimisticRead, read_start);
-      return StatusCode::kOk;
-    }
-    opt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    const StatusCode code =
-        gets_locked(key, out, flags, cas, /*pay_modelled_cost=*/false);
-    metrics::record_since(config_.latency, Span::kLockedRead, read_start);
-    return code;
   }
-  const StatusCode code =
-      gets_locked(key, out, flags, cas, /*pay_modelled_cost=*/true);
-  metrics::record_since(config_.latency, Span::kLockedRead, read_start);
-  return code;
-}
-
-StatusCode HybridSlabManager::gets_locked(std::string_view key,
-                                          std::vector<char>& out,
-                                          std::uint32_t& flags,
-                                          std::uint64_t& cas,
-                                          bool pay_modelled_cost) {
-  {
-    const MutexLock lock(mu_);
-    cas = current_cas_locked(index_.find(key));
-  }
-  if (cas == 0) {
-    std::uint32_t unused = 0;
-    // Counts the miss consistently.
-    (void)get_locked(key, out, unused, pay_modelled_cost);
-    return StatusCode::kNotFound;
-  }
-  // The value matching this CAS token: any interleaved overwrite bumps the
-  // version, so a stale read here simply fails the subsequent cas() -- the
-  // exact guarantee memcached provides.
-  return get_locked(key, out, flags, pay_modelled_cost);
-}
-
-StatusCode HybridSlabManager::cas(std::string_view key,
-                                  std::span<const char> value,
-                                  std::uint32_t flags, std::int64_t expiration,
-                                  std::uint64_t expected_cas) {
-  if (key.empty()) return StatusCode::kInvalidArgument;
-  const std::size_t total = item_total_size(key.size(), value.size());
-  const unsigned cls = slabs_.class_for(total);
-  if (cls == kInvalidClass) return StatusCode::kInvalidArgument;
-  const std::int64_t expiry =
-      expiration == 0 ? 0 : steady_seconds() + expiration;
-
-  const MutexLock lock(mu_);
-  Entry* entry = index_.find(key);
-  std::uint64_t current = current_cas_locked(entry);
-  if (current == 0) return StatusCode::kNotFound;
-  if (current != expected_cas) return StatusCode::kNotStored;  // EXISTS
-
-  // In-place path (same class): check and store under one lock hold. The
-  // seqlock bracket keeps concurrent optimistic readers torn-free.
-  if (ItemHeader* item = entry->ram.load(std::memory_order_relaxed);
-      item != nullptr && item->slab_class == cls &&
-      item->key_len == key.size()) {
-    const std::uint64_t even = seq_write_begin(item);
-    seq_store(item->value_len, static_cast<std::uint32_t>(value.size()));
-    seq_store(item->flags, flags);
-    seq_store(item->expiry, expiry);
-    seq_store(item->cas, cas_seq_++);
-    if (!value.empty()) {
-      atomic_store_bytes(item->value_data(), value.data(), value.size());
-    }
-    seq_write_end(item, even);
-    lru_[cls].move_to_front(item);
-    ++stats_.sets;
-    return StatusCode::kOk;
-  }
-
-  // Relocating path: the allocation may drop the lock (flush), so the
-  // version must be re-validated before committing.
-  char* chunk = allocate_with_reclaim(cls);
-  if (chunk == nullptr) return StatusCode::kOutOfMemory;
-  entry = index_.find(key);
-  current = current_cas_locked(entry);
-  if (current != expected_cas) {
-    slabs_.deallocate(chunk, cls);
-    return current == 0 ? StatusCode::kNotFound : StatusCode::kNotStored;
-  }
-  if (ItemHeader* old = entry->ram.load(std::memory_order_relaxed)) {
-    entry->ram.store(nullptr, std::memory_order_release);
-    retire_ram_item(old);
-  }
-  if (entry->ssd != nullptr) release_record_locked(entry->ssd);
-  ItemHeader* item = format_item(chunk, key, value, flags, expiry, cls);
-  item->cas = cas_seq_++;
-  entry->ssd.reset();
-  entry->ram.store(item, std::memory_order_release);
-  lru_[cls].push_front(item);
-  ++stats_.sets;
   return StatusCode::kOk;
 }
 
@@ -903,11 +805,7 @@ StatusCode HybridSlabManager::del(std::string_view key) {
   const MutexLock lock(mu_);
   Entry* entry = index_.find(key);
   if (entry == nullptr) return StatusCode::kNotFound;
-  if (ItemHeader* item = entry->ram.load(std::memory_order_relaxed)) {
-    entry->ram.store(nullptr, std::memory_order_release);
-    retire_ram_item(item);
-  }
-  if (entry->ssd != nullptr) release_record_locked(entry->ssd);
+  displace_locked(*entry);
   index_.erase(key);
   ++stats_.deletes;
   return StatusCode::kOk;
@@ -915,26 +813,13 @@ StatusCode HybridSlabManager::del(std::string_view key) {
 
 bool HybridSlabManager::exists(std::string_view key) const {
   const MutexLock lock(mu_);
-  const Entry* entry = index_.find(key);
-  if (entry == nullptr) return false;
-  if (const ItemHeader* item = entry->ram.load(std::memory_order_relaxed)) {
-    return !expired(item->expiry);
-  }
-  return entry->ssd != nullptr && !expired(entry->ssd->expiry);
+  return current_cas_locked(index_.find(key)) != 0;
 }
 
 void HybridSlabManager::clear() {
   const MutexLock lock(mu_);
-  index_.for_each([&](std::string_view, Entry& entry) {
-    if (ItemHeader* item = entry.ram.load(std::memory_order_relaxed)) {
-      entry.ram.store(nullptr, std::memory_order_release);
-      retire_ram_item(item);
-    }
-    if (entry.ssd != nullptr) {
-      release_record_locked(entry.ssd);
-      entry.ssd.reset();
-    }
-  });
+  index_.for_each(
+      [&](std::string_view, Entry& entry) { displace_locked(entry); });
   index_.clear();
 }
 

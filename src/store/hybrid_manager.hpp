@@ -79,7 +79,7 @@ struct ManagerConfig {
   /// one shard.
   unsigned shards = 0;
   /// Modelled per-operation CPU cost realised *while holding the store
-  /// lock* (set/get only). Production servers spend ~a microsecond of CPU
+  /// lock* (store/get only). Production servers spend ~a microsecond of CPU
   /// under the lock per op; on few-core build hosts that serialisation is
   /// invisible because one core serialises everything anyway. Benches set
   /// this so shard-scaling behaviour reproduces on any host, exactly like
@@ -129,6 +129,36 @@ struct ManagerStats {
   HYKV_COUNTER_FIELDS(ManagerStats, HYKV_MANAGER_STATS_FIELDS)
 };
 
+/// When a store() may commit, judged under the shard lock against the key's
+/// current CAS (0 = absent or expired).
+struct Condition {
+  enum Kind : std::uint8_t {
+    kAlways,   ///< set
+    kAbsent,   ///< add: kNotStored if the key is live
+    kPresent,  ///< replace: kNotStored if the key is absent
+    kVersion,  ///< cas: kNotFound if absent, kNotStored if the CAS moved
+    /// update(): as kVersion, and the commit keeps the live item's flags and
+    /// expiry instead of the caller's (memcached keeps an item's TTL across
+    /// append/prepend/incr/decr).
+    kVersionKeepMeta,
+  };
+  Kind kind = kAlways;
+  std::uint64_t cas = 0;  ///< kVersion*: the CAS the key must still carry.
+};
+
+/// The read-modify-write ops update() applies to an existing value.
+struct Update {
+  enum Kind : std::uint8_t {
+    kAppend,
+    kPrepend,
+    kIncr,  ///< ASCII unsigned counter; wraps at 2^64 (memcached)
+    kDecr,  ///< saturates at 0 (memcached)
+  };
+  Kind kind = kAppend;
+  std::span<const char> bytes{};  ///< kAppend/kPrepend: the bytes to add.
+  std::uint64_t delta = 0;        ///< kIncr/kDecr.
+};
+
 class HybridSlabManager {
  public:
   /// `storage` must outlive the manager; may be nullptr iff mode==kInMemory.
@@ -138,57 +168,47 @@ class HybridSlabManager {
   HybridSlabManager(const HybridSlabManager&) = delete;
   HybridSlabManager& operator=(const HybridSlabManager&) = delete;
 
-  /// Stores (or overwrites) key -> value. `expiration` is relative seconds
-  /// (0 = never). With a recorder, time lands in Span::kSlabAllocation
-  /// (allocation + any flush) and kCacheUpdate (item write + index/LRU
-  /// update); the lookup of a previous version lands in kCacheCheckLoad.
-  StatusCode set(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration) EXCLUDES(mu_);
+  /// Stores key -> value if `cond` holds (set/add/replace/cas: one write
+  /// path). `expiration` is relative seconds (0 = never). The condition is
+  /// checked under the shard lock, and again after an allocation that
+  /// dropped it for a flush, so check and commit are atomic. With a
+  /// recorder, time lands in Span::kSlabAllocation (allocation + any flush)
+  /// and kCacheUpdate (item write + index/LRU update); the lookup of a
+  /// previous version lands in kCacheCheckLoad.
+  StatusCode store(std::string_view key, std::span<const char> value,
+                   std::uint32_t flags, std::int64_t expiration,
+                   Condition cond = {}) EXCLUDES(mu_);
 
-  /// Fetches key into `out` (resized to the value length). On the locked
-  /// path SSD loads are recorded as Span::kCacheCheckLoad, LRU promotion as
+  /// Fetches key into `out` (resized to the value length). A non-null `cas`
+  /// receives the CAS of exactly these bytes (memcached "gets"): both come
+  /// from one seqlock snapshot or one lock hold. On the locked path SSD
+  /// loads are recorded as Span::kCacheCheckLoad, LRU promotion as
   /// kCacheUpdate; a lock-free hit records only kOptimisticRead.
   StatusCode get(std::string_view key, std::vector<char>& out,
-                 std::uint32_t& flags) EXCLUDES(mu_);
+                 std::uint32_t& flags, std::uint64_t* cas = nullptr)
+      EXCLUDES(mu_);
+
+  /// memcached append/prepend/incr/decr: reads the value and its CAS,
+  /// applies `op`, and commits under Condition::kVersionKeepMeta (the
+  /// item's flags and expiry kept); a commit that lost to another writer
+  /// (kNotStored) retries from the read. Returns the new counter for
+  /// incr/decr (0 for append/prepend). Absent key: kNotStored for
+  /// append/prepend, kNotFound for incr/decr; a non-numeric counter:
+  /// kInvalidArgument. Each attempt counts as one lookup and, if it
+  /// commits, one set in the store counters. The retry is unbounded:
+  /// writers as a whole always progress, but one update can starve while
+  /// a steady stream of stores keeps moving the key's CAS (memcached, which
+  /// runs these ops under its item lock, cannot starve them).
+  Result<std::uint64_t> update(std::string_view key, const Update& op)
+      EXCLUDES(mu_);
 
   StatusCode del(std::string_view key) EXCLUDES(mu_);
+  /// True if the key is live. No server op calls it (add/replace check
+  /// presence inside store()); it is a test helper.
   [[nodiscard]] bool exists(std::string_view key) const EXCLUDES(mu_);
-
-  /// memcached "add": stores only if the key does not exist (kNotStored
-  /// otherwise).
-  StatusCode add(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration);
-
-  /// memcached "replace": stores only if the key exists (kNotStored
-  /// otherwise).
-  StatusCode replace(std::string_view key, std::span<const char> value,
-                     std::uint32_t flags, std::int64_t expiration);
-
-  /// memcached "append"/"prepend": extends an existing value (kNotStored if
-  /// absent). Reads the current value (possibly from SSD) and re-stores.
-  StatusCode append(std::string_view key, std::span<const char> suffix);
-  StatusCode prepend(std::string_view key, std::span<const char> prefix);
-
-  /// memcached "incr"/"decr": the value must be an ASCII unsigned integer;
-  /// applies the delta (decr saturates at 0, memcached semantics) and
-  /// returns the new value. kNotFound if absent, kInvalidArgument if the
-  /// value is not numeric.
-  Result<std::uint64_t> incr(std::string_view key, std::uint64_t delta);
-  Result<std::uint64_t> decr(std::string_view key, std::uint64_t delta);
 
   /// memcached "touch": updates the expiration without moving data.
   StatusCode touch(std::string_view key, std::int64_t expiration) EXCLUDES(mu_);
-
-  /// memcached "gets": like get() but also returns the item's CAS version.
-  StatusCode gets(std::string_view key, std::vector<char>& out,
-                  std::uint32_t& flags, std::uint64_t& cas) EXCLUDES(mu_);
-
-  /// memcached "cas": stores only if the item's current version equals
-  /// `expected_cas`. kNotFound if absent; kNotStored on version mismatch
-  /// (memcached's EXISTS).
-  StatusCode cas(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration,
-                 std::uint64_t expected_cas) EXCLUDES(mu_);
 
   /// Drops every item (memcached flush_all).
   void clear() EXCLUDES(mu_);
@@ -289,6 +309,10 @@ class HybridSlabManager {
 
   void unlink_ram_item(ItemHeader* item) REQUIRES(mu_);
 
+  /// Removes every version the entry holds: unpublishes and retires its RAM
+  /// item, releases its SSD record. The caller re-fills or erases it.
+  void displace_locked(Entry& entry) REQUIRES(mu_);
+
   /// Unlinks a *published* RAM item and defers its chunk to the epoch limbo
   /// (a lock-free reader may still be copying it); with optimistic reads off
   /// this is plain unlink_ram_item. The caller must already have unpublished
@@ -309,14 +333,11 @@ class HybridSlabManager {
                           std::uint32_t& flags, std::uint64_t* cas_out)
       EXCLUDES(mu_);
 
-  /// The pre-optimistic locked paths; `pay_modelled_cost` is false when the
+  /// The pre-optimistic locked path; `pay_modelled_cost` is false when the
   /// caller already realised modelled_op_cost before falling back.
   StatusCode get_locked(std::string_view key, std::vector<char>& out,
-                        std::uint32_t& flags, bool pay_modelled_cost)
-      EXCLUDES(mu_);
-  StatusCode gets_locked(std::string_view key, std::vector<char>& out,
-                         std::uint32_t& flags, std::uint64_t& cas,
-                         bool pay_modelled_cost) EXCLUDES(mu_);
+                        std::uint32_t& flags, std::uint64_t* cas,
+                        bool pay_modelled_cost) EXCLUDES(mu_);
 
   [[nodiscard]] ssd::IoScheme scheme_for_class(unsigned cls) const noexcept;
   [[nodiscard]] bool expired(std::int64_t expiry) const noexcept;
@@ -330,6 +351,12 @@ class HybridSlabManager {
   /// Current CAS version of the entry, whichever tier it lives in
   /// (0 = entry absent/expired).
   std::uint64_t current_cas_locked(const Entry* entry) const REQUIRES(mu_);
+
+  /// kOk when `cond` holds for `entry`, else the status store() answers.
+  /// For kVersionKeepMeta, also loads the live item's flags and expiry.
+  StatusCode check_locked(const Entry* entry, const Condition& cond,
+                          std::uint32_t& flags, std::int64_t& expiry) const
+      REQUIRES(mu_);
 
   ManagerConfig config_;
   ssd::StorageStack* storage_;

@@ -17,8 +17,11 @@
 // buckets.
 //
 // Semantics are identical to a single HybridSlabManager: every per-key
-// operation maps to exactly one shard, so per-key linearisability (last
-// write wins, CAS versions) is inherited from the shard's lock.
+// operation maps to exactly one shard. Within it, a store() checks its
+// condition and commits under one hold of the shard lock (re-checked if a
+// flush dropped it), and update() retries its read-modify-write until its
+// CAS-conditioned commit lands, so set/add/replace/cas/append/prepend/incr/
+// decr are each atomic per key.
 // Cross-shard operations aggregate:
 //   clear()        -- clears every shard (not atomic across shards; a
 //                     concurrent set to an already-cleared shard survives,
@@ -81,49 +84,24 @@ class ShardedManager {
 
   // -- Per-key operations: forwarded to the key's shard. Signatures and
   //    semantics match HybridSlabManager exactly (drop-in replacement).
-  StatusCode set(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration) {
-    return shard_for(key).set(key, value, flags, expiration);
+  StatusCode store(std::string_view key, std::span<const char> value,
+                   std::uint32_t flags, std::int64_t expiration,
+                   Condition cond = {}) {
+    return shard_for(key).store(key, value, flags, expiration, cond);
   }
   StatusCode get(std::string_view key, std::vector<char>& out,
-                 std::uint32_t& flags) {
-    return shard_for(key).get(key, out, flags);
+                 std::uint32_t& flags, std::uint64_t* cas = nullptr) {
+    return shard_for(key).get(key, out, flags, cas);
+  }
+  Result<std::uint64_t> update(std::string_view key, const Update& op) {
+    return shard_for(key).update(key, op);
   }
   StatusCode del(std::string_view key) { return shard_for(key).del(key); }
-  [[nodiscard]] bool exists(std::string_view key) const {
-    return shard_for(key).exists(key);
-  }
-  StatusCode add(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration) {
-    return shard_for(key).add(key, value, flags, expiration);
-  }
-  StatusCode replace(std::string_view key, std::span<const char> value,
-                     std::uint32_t flags, std::int64_t expiration) {
-    return shard_for(key).replace(key, value, flags, expiration);
-  }
-  StatusCode append(std::string_view key, std::span<const char> suffix) {
-    return shard_for(key).append(key, suffix);
-  }
-  StatusCode prepend(std::string_view key, std::span<const char> prefix) {
-    return shard_for(key).prepend(key, prefix);
-  }
-  Result<std::uint64_t> incr(std::string_view key, std::uint64_t delta) {
-    return shard_for(key).incr(key, delta);
-  }
-  Result<std::uint64_t> decr(std::string_view key, std::uint64_t delta) {
-    return shard_for(key).decr(key, delta);
-  }
   StatusCode touch(std::string_view key, std::int64_t expiration) {
     return shard_for(key).touch(key, expiration);
   }
-  StatusCode gets(std::string_view key, std::vector<char>& out,
-                  std::uint32_t& flags, std::uint64_t& cas) {
-    return shard_for(key).gets(key, out, flags, cas);
-  }
-  StatusCode cas(std::string_view key, std::span<const char> value,
-                 std::uint32_t flags, std::int64_t expiration,
-                 std::uint64_t expected_cas) {
-    return shard_for(key).cas(key, value, flags, expiration, expected_cas);
+  [[nodiscard]] bool exists(std::string_view key) const {
+    return shard_for(key).exists(key);
   }
 
   // -- Cross-shard operations: aggregate per-shard results.

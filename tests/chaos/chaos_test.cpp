@@ -237,7 +237,7 @@ TEST_F(ChaosTest, SsdOutageDegradesToRamOnlyAndHeals) {
   for (std::uint64_t i = 0; i < 200; ++i) {
     // Every set must succeed: the manager degrades instead of failing or
     // blocking behind the dead device.
-    ASSERT_EQ(manager.set(make_key(i), value, 0, 0), StatusCode::kOk)
+    ASSERT_EQ(manager.store(make_key(i), value, 0, 0), StatusCode::kOk)
         << i;
   }
   auto stats = manager.stats();
@@ -258,7 +258,7 @@ TEST_F(ChaosTest, SsdOutageDegradesToRamOnlyAndHeals) {
   stack.device().set_failed(false);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   for (std::uint64_t i = 200; i < 400; ++i) {
-    ASSERT_EQ(manager.set(make_key(i), value, 0, 0), StatusCode::kOk)
+    ASSERT_EQ(manager.store(make_key(i), value, 0, 0), StatusCode::kOk)
         << i;
   }
   stats = manager.stats();

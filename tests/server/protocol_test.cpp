@@ -169,9 +169,9 @@ class RequestTableTest : public ::testing::Test {
  protected:
   RequestTableTest()
       : bed_(config()), raw_(bed_.fabric().create_endpoint("raw")) {
-    EXPECT_EQ(bed_.server(0).manager().set("seed", bytes("seed-value"), 0, 0),
+    EXPECT_EQ(bed_.server(0).manager().store("seed", bytes("seed-value"), 0, 0),
               StatusCode::kOk);
-    EXPECT_EQ(bed_.server(0).manager().set("ctr", bytes("5"), 0, 0),
+    EXPECT_EQ(bed_.server(0).manager().store("ctr", bytes("5"), 0, 0),
               StatusCode::kOk);
   }
   ~RequestTableTest() override { raw_->close(); }
@@ -265,6 +265,29 @@ TEST_F(RequestTableTest, EveryRequestOpcodeLandsInItsCounterAndOpClass) {
     EXPECT_EQ(recorded_ops(), expected_ops);
   }
   EXPECT_EQ(bed_.server(0).counters().malformed, 0u);
+}
+
+// A cas token of 0 is no wildcard: on an absent key the server answers
+// NOT_FOUND and stores nothing; on a live key the token does not match.
+TEST_F(RequestTableTest, CasWithTokenZeroNeverMatches) {
+  const std::size_t items = bed_.server(0).manager().item_count();
+  EXPECT_EQ(send(kOpCas, encode_request({.key = "absent",
+                                         .value = bytes(kValue),
+                                         .arg = 0}))
+                .status,
+            StatusCode::kNotFound);
+  EXPECT_EQ(bed_.server(0).manager().item_count(), items);
+  EXPECT_FALSE(bed_.server(0).manager().exists("absent"));
+
+  EXPECT_EQ(send(kOpCas, encode_request({.key = "seed",
+                                         .value = bytes(kValue),
+                                         .arg = 0}))
+                .status,
+            StatusCode::kNotStored);
+  std::vector<char> out;
+  std::uint32_t flags = 0;
+  ASSERT_EQ(bed_.server(0).manager().get("seed", out, flags), StatusCode::kOk);
+  EXPECT_EQ(std::string(out.begin(), out.end()), "seed-value");
 }
 
 TEST_F(RequestTableTest, MalformedRequestOfEveryOpcodeIsRejectedAndCounted) {

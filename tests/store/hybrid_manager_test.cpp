@@ -39,7 +39,7 @@ class HybridManagerTest : public ::testing::Test {
 
   StatusCode set(HybridSlabManager& m, std::uint64_t i, std::size_t size,
                  std::int64_t expiration = 0) {
-    return m.set(make_key(i), make_value(i, size), static_cast<std::uint32_t>(i),
+    return m.store(make_key(i), make_value(i, size), static_cast<std::uint32_t>(i),
                  expiration);
   }
 
@@ -81,8 +81,8 @@ TEST_F(HybridManagerTest, SetGetDeleteInMemory) {
 
 TEST_F(HybridManagerTest, OverwriteReplacesValueAndFlags) {
   HybridSlabManager m(base_config(StorageMode::kInMemory), nullptr);
-  ASSERT_EQ(m.set("k", make_value(1, 100), 1, 0), StatusCode::kOk);
-  ASSERT_EQ(m.set("k", make_value(2, 5000), 2, 0), StatusCode::kOk);  // class change
+  ASSERT_EQ(m.store("k", make_value(1, 100), 1, 0), StatusCode::kOk);
+  ASSERT_EQ(m.store("k", make_value(2, 5000), 2, 0), StatusCode::kOk);  // class change
   std::vector<char> out;
   std::uint32_t flags = 0;
   ASSERT_EQ(m.get("k", out, flags), StatusCode::kOk);
@@ -93,9 +93,9 @@ TEST_F(HybridManagerTest, OverwriteReplacesValueAndFlags) {
 
 TEST_F(HybridManagerTest, InvalidArguments) {
   HybridSlabManager m(base_config(StorageMode::kInMemory), nullptr);
-  EXPECT_EQ(m.set("", make_value(1, 10), 0, 0), StatusCode::kInvalidArgument);
+  EXPECT_EQ(m.store("", make_value(1, 10), 0, 0), StatusCode::kInvalidArgument);
   // Item larger than a slab page cannot be stored.
-  EXPECT_EQ(m.set("big", make_value(1, 512 << 10), 0, 0),
+  EXPECT_EQ(m.store("big", make_value(1, 512 << 10), 0, 0),
             StatusCode::kInvalidArgument);
 }
 
@@ -254,7 +254,7 @@ TEST_F(HybridManagerTest, StageSpansAttributeFlushToSlabAllocation) {
     return recorder.span_histogram(span).sum_ns();
   };
   for (std::uint64_t i = 0; i < 120; ++i) {
-    ASSERT_EQ(m.set(make_key(i), make_value(i, 30 << 10),
+    ASSERT_EQ(m.store(make_key(i), make_value(i, 30 << 10),
                     static_cast<std::uint32_t>(i), 0),
               StatusCode::kOk);
   }
@@ -290,7 +290,7 @@ TEST_F(HybridManagerTest, RandomOpsMatchModelHybrid) {
       case 0:
       case 1: {  // set (50%)
         const std::uint64_t seed = rng.next();
-        ASSERT_EQ(m.set(key, make_value(seed, size), 0, 0), StatusCode::kOk);
+        ASSERT_EQ(m.store(key, make_value(seed, size), 0, 0), StatusCode::kOk);
         model[key] = seed;
         model[key + "#s"] = size;  // remember size under a shadow key
         break;
@@ -330,7 +330,7 @@ TEST_F(HybridManagerTest, MultiClassCalcificationFailsGracefully) {
     ASSERT_EQ(set(m, i, 30 << 10), StatusCode::kOk);
   }
   // A tiny item needs a fresh page for its class; none is left.
-  EXPECT_EQ(m.set("tiny", make_value(1, 64), 0, 0), StatusCode::kOutOfMemory);
+  EXPECT_EQ(m.store("tiny", make_value(1, 64), 0, 0), StatusCode::kOutOfMemory);
   // The store remains fully functional for the established class.
   EXPECT_TRUE(get_matches(m, 0, 30 << 10));
   ASSERT_EQ(set(m, 500, 30 << 10), StatusCode::kOk);
@@ -347,7 +347,7 @@ TEST_F(HybridManagerTest, ConcurrentDisjointWorkloadsStayConsistent) {
     threads.emplace_back([&, t] {
       const std::uint64_t base = static_cast<std::uint64_t>(t) * 1000;
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        if (!ok(m.set(make_key(base + i), make_value(base + i, 20 << 10),
+        if (!ok(m.store(make_key(base + i), make_value(base + i, 20 << 10),
                       0, 0))) {
           ++failures;
         }

@@ -87,7 +87,7 @@ void churn_agreement(StorageMode mode, ssd::StorageStack* storage) {
   constexpr std::size_t kValueBytes = 512;
 
   for (std::uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_EQ(m.set(make_key(k), stamped_value(k, 0, kValueBytes),
+    ASSERT_EQ(m.store(make_key(k), stamped_value(k, 0, kValueBytes),
                     static_cast<std::uint32_t>(k), 0),
               StatusCode::kOk);
   }
@@ -106,7 +106,7 @@ void churn_agreement(StorageMode mode, ssd::StorageStack* storage) {
           (void)m.del(make_key(k));
           break;
         default:
-          (void)m.set(make_key(k), stamped_value(k, gen, kValueBytes),
+          (void)m.store(make_key(k), stamped_value(k, gen, kValueBytes),
                       static_cast<std::uint32_t>(k), 0);
           break;
       }
@@ -167,7 +167,7 @@ TEST_F(ReadPathTest, TornReadRegression) {
   constexpr std::size_t kValueBytes = 4096;  // long copy: wide tear window
   const std::vector<char> a(kValueBytes, 'A');
   const std::vector<char> b(kValueBytes, 'B');
-  ASSERT_EQ(m.set("hot", a, 0, 0), StatusCode::kOk);
+  ASSERT_EQ(m.store("hot", a, 0, 0), StatusCode::kOk);
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> torn{0};
@@ -176,7 +176,7 @@ TEST_F(ReadPathTest, TornReadRegression) {
   std::thread writer([&] {
     bool flip = false;
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)m.set("hot", flip ? a : b, 0, 0);
+      (void)m.store("hot", flip ? a : b, 0, 0);
       flip = !flip;
     }
   });
@@ -221,7 +221,7 @@ TEST_F(ReadPathTest, CounterBalanceEveryGetIsHitOrFallback) {
   HybridSlabManager m(small_config(StorageMode::kInMemory, true), nullptr);
   constexpr std::uint64_t kKeys = 32;
   for (std::uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_EQ(m.set(make_key(k), make_value(k, 128), 0, 0), StatusCode::kOk);
+    ASSERT_EQ(m.store(make_key(k), make_value(k, 128), 0, 0), StatusCode::kOk);
   }
   constexpr std::uint64_t kGets = 5000;
   std::vector<char> out;
@@ -230,7 +230,7 @@ TEST_F(ReadPathTest, CounterBalanceEveryGetIsHitOrFallback) {
   for (std::uint64_t i = 0; i < kGets; ++i) {
     // Mix hits, misses, and gets(): all must land in exactly one bucket.
     if (i % 3 == 0) {
-      (void)m.gets(make_key(i % (kKeys + 8)), out, flags, cas);
+      (void)m.get(make_key(i % (kKeys + 8)), out, flags, &cas);
     } else {
       (void)m.get(make_key(i % (kKeys + 8)), out, flags);
     }
@@ -259,14 +259,14 @@ TEST_F(ReadPathTest, ByteIdenticalResultsOptimisticOnAndOff) {
       switch (rng.next_below(6)) {
         case 0:
         case 1:
-          (void)m.set(make_key(k), make_value(k ^ rng.next_below(4), 200),
+          (void)m.store(make_key(k), make_value(k ^ rng.next_below(4), 200),
                       static_cast<std::uint32_t>(k), 0);
           break;
         case 2:
           (void)m.del(make_key(k));
           break;
         case 3: {
-          const StatusCode code = m.gets(make_key(k), out, flags, cas);
+          const StatusCode code = m.get(make_key(k), out, flags, &cas);
           trace += std::to_string(static_cast<int>(code));
           if (ok(code)) {
             trace.append(out.data(), out.size());
@@ -300,7 +300,7 @@ TEST_F(ReadPathTest, TouchedFlagGrantsSecondChanceOverLru) {
   constexpr std::size_t kValueBytes = 1 << 10;
   // Fill RAM exactly: more sets will evict from the tail.
   std::uint64_t count = 0;
-  while (m.set(make_key(count), make_value(count, kValueBytes), 0, 0) ==
+  while (m.store(make_key(count), make_value(count, kValueBytes), 0, 0) ==
              StatusCode::kOk &&
          m.stats().dropped_evictions == 0) {
     ++count;
@@ -317,7 +317,7 @@ TEST_F(ReadPathTest, TouchedFlagGrantsSecondChanceOverLru) {
   ASSERT_EQ(m.get(make_key(canary), out, flags), StatusCode::kOk);
   ASSERT_GT(m.stats().optimistic_hits, hits_before)
       << "canary read did not take the lock-free path";
-  ASSERT_EQ(m.set(make_key(count + 1), make_value(count + 1, kValueBytes), 0, 0),
+  ASSERT_EQ(m.store(make_key(count + 1), make_value(count + 1, kValueBytes), 0, 0),
             StatusCode::kOk);
   // The second chance rescued the canary; some other cold key was dropped.
   EXPECT_TRUE(m.exists(make_key(canary)))
@@ -329,7 +329,7 @@ TEST_F(ReadPathTest, ShardedFacadeAggregatesReadPathCounters) {
   cfg.shards = 4;
   ShardedManager m(cfg, nullptr);
   for (std::uint64_t k = 0; k < 64; ++k) {
-    ASSERT_EQ(m.set(make_key(k), make_value(k, 128), 0, 0), StatusCode::kOk);
+    ASSERT_EQ(m.store(make_key(k), make_value(k, 128), 0, 0), StatusCode::kOk);
   }
   std::vector<char> out;
   std::uint32_t flags = 0;

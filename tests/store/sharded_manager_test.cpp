@@ -1,10 +1,13 @@
 // Sharded storage tier: facade semantics (drop-in vs HybridSlabManager),
 // shard resolution/sizing, cross-shard aggregation, per-shard degraded mode,
-// and a multi-threaded stress test (ctest label `stress`; run under
-// -DHYKV_SANITIZE=thread to race-check the per-shard locking).
+// and multi-threaded stress tests (ctest label `stress`; run under
+// -DHYKV_SANITIZE=thread to race-check the per-shard locking): mixed ops,
+// and conditional and read-modify-write ops that must be atomic per key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -63,7 +66,7 @@ TEST(ShardedManagerTest, KeysSpreadOverShardsAndStayFindable) {
   std::vector<std::size_t> per_shard(8, 0);
   for (std::size_t i = 0; i < kKeys; ++i) {
     const std::string key = make_key(i);
-    ASSERT_EQ(m.set(key, make_value(i, 128), 0, 0), StatusCode::kOk);
+    ASSERT_EQ(m.store(key, make_value(i, 128), 0, 0), StatusCode::kOk);
     ++per_shard[m.shard_index(key)];
   }
   EXPECT_EQ(m.item_count(), kKeys);
@@ -93,31 +96,39 @@ TEST(ShardedManagerTest, OpsMatchSingleManagerSemantics) {
   ShardedManager m(base_config(StorageMode::kInMemory, 4), nullptr);
   const std::string key = "op-key";
 
-  EXPECT_EQ(m.replace(key, make_value(1, 64), 0, 0), StatusCode::kNotStored);
-  EXPECT_EQ(m.add(key, make_value(1, 64), 0, 0), StatusCode::kOk);
-  EXPECT_EQ(m.add(key, make_value(2, 64), 0, 0), StatusCode::kNotStored);
-  EXPECT_EQ(m.replace(key, make_value(2, 64), 7, 0), StatusCode::kOk);
+  EXPECT_EQ(m.store(key, make_value(1, 64), 0, 0, {Condition::kPresent}),
+            StatusCode::kNotStored);
+  EXPECT_EQ(m.store(key, make_value(1, 64), 0, 0, {Condition::kAbsent}),
+            StatusCode::kOk);
+  EXPECT_EQ(m.store(key, make_value(2, 64), 0, 0, {Condition::kAbsent}),
+            StatusCode::kNotStored);
+  EXPECT_EQ(m.store(key, make_value(2, 64), 7, 0, {Condition::kPresent}),
+            StatusCode::kOk);
 
   std::vector<char> out;
   std::uint32_t flags = 0;
   std::uint64_t cas = 0;
-  ASSERT_EQ(m.gets(key, out, flags, cas), StatusCode::kOk);
+  ASSERT_EQ(m.get(key, out, flags, &cas), StatusCode::kOk);
   EXPECT_EQ(flags, 7u);
   EXPECT_NE(cas, 0u);
-  EXPECT_EQ(m.cas(key, make_value(3, 64), 0, 0, cas), StatusCode::kOk);
-  EXPECT_EQ(m.cas(key, make_value(4, 64), 0, 0, cas), StatusCode::kNotStored);
+  EXPECT_EQ(m.store(key, make_value(3, 64), 0, 0, {Condition::kVersion, cas}),
+            StatusCode::kOk);
+  EXPECT_EQ(m.store(key, make_value(4, 64), 0, 0, {Condition::kVersion, cas}),
+            StatusCode::kNotStored);
 
   const std::string counter = "counter";
-  ASSERT_EQ(m.set(counter, std::vector<char>{'4', '1'}, 0, 0), StatusCode::kOk);
-  const auto up = m.incr(counter, 1);
+  ASSERT_EQ(m.store(counter, std::vector<char>{'4', '1'}, 0, 0), StatusCode::kOk);
+  const auto up = m.update(counter, {Update::kIncr, {}, 1});
   ASSERT_TRUE(up.ok());
   EXPECT_EQ(up.value(), 42u);
-  const auto down = m.decr(counter, 100);
+  const auto down = m.update(counter, {Update::kDecr, {}, 100});
   ASSERT_TRUE(down.ok());
   EXPECT_EQ(down.value(), 0u);  // saturates
 
-  ASSERT_EQ(m.append(key, std::vector<char>{'!'}), StatusCode::kOk);
-  ASSERT_EQ(m.prepend(key, std::vector<char>{'>'}), StatusCode::kOk);
+  ASSERT_EQ(m.update(key, {Update::kAppend, std::vector<char>{'!'}}).status(),
+            StatusCode::kOk);
+  ASSERT_EQ(m.update(key, {Update::kPrepend, std::vector<char>{'>'}}).status(),
+            StatusCode::kOk);
   ASSERT_EQ(m.get(key, out, flags), StatusCode::kOk);
   EXPECT_EQ(out.front(), '>');
   EXPECT_EQ(out.back(), '!');
@@ -137,7 +148,7 @@ TEST(ShardedManagerTest, HybridShardsFlushAndServeFromSsd) {
 
   const std::size_t kKeys = 256;
   for (std::size_t i = 0; i < kKeys; ++i) {
-    ASSERT_EQ(m.set(make_key(i), make_value(i, 4 << 10), 0, 0), StatusCode::kOk);
+    ASSERT_EQ(m.store(make_key(i), make_value(i, 4 << 10), 0, 0), StatusCode::kOk);
   }
   const auto stats = m.stats();
   EXPECT_GT(stats.flushes, 0u);
@@ -165,7 +176,7 @@ TEST(ShardedManagerTest, DegradedModeIsPerShardAndHeals) {
 
   stack.device().set_failed(true);
   for (std::size_t i = 0; i < 512; ++i) {
-    ASSERT_EQ(m.set(make_key(i), make_value(i, 4 << 10), 0, 0), StatusCode::kOk)
+    ASSERT_EQ(m.store(make_key(i), make_value(i, 4 << 10), 0, 0), StatusCode::kOk)
         << i;
   }
   auto stats = m.stats();
@@ -179,7 +190,7 @@ TEST(ShardedManagerTest, DegradedModeIsPerShardAndHeals) {
   stack.device().set_failed(false);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   for (std::size_t i = 512; i < 1024; ++i) {
-    ASSERT_EQ(m.set(make_key(i), make_value(i, 4 << 10), 0, 0), StatusCode::kOk)
+    ASSERT_EQ(m.store(make_key(i), make_value(i, 4 << 10), 0, 0), StatusCode::kOk)
         << i;
   }
   stats = m.stats();
@@ -224,7 +235,7 @@ TEST(ShardedManagerStress, ConcurrentMixedOpsKeepInvariants) {
       if (dice < 3) {  // private set
         const std::uint64_t k = x % kPrivateKeys;
         const std::uint64_t version = op;
-        ASSERT_EQ(m.set("t" + std::to_string(tid) + "-" + std::to_string(k),
+        ASSERT_EQ(m.store("t" + std::to_string(tid) + "-" + std::to_string(k),
                         make_value(version, kValueBytes), 0, 0),
                   StatusCode::kOk);
         last[k] = version;
@@ -241,7 +252,7 @@ TEST(ShardedManagerStress, ConcurrentMixedOpsKeepInvariants) {
         }
       } else if (dice < 7) {  // shared set (value is a pure function of key)
         const std::uint64_t k = x % kSharedKeys;
-        ASSERT_EQ(m.set(shared_key(k), make_value(k, kValueBytes), 0, 0),
+        ASSERT_EQ(m.store(shared_key(k), make_value(k, kValueBytes), 0, 0),
                   StatusCode::kOk);
       } else if (dice < 9) {  // shared get: hit must match the canonical value
         const std::uint64_t k = x % kSharedKeys;
@@ -255,11 +266,12 @@ TEST(ShardedManagerStress, ConcurrentMixedOpsKeepInvariants) {
       } else {  // cas on a shared key: version races are allowed, tears not
         const std::uint64_t k = x % kSharedKeys;
         std::uint64_t cas = 0;
-        const auto code = m.gets(shared_key(k), out, flags, cas);
-        ++gets;  // gets() counts one lookup either way
+        const auto code = m.get(shared_key(k), out, flags, &cas);
+        ++gets;  // a get with a CAS counts one lookup either way
         if (code == StatusCode::kOk) {
           const auto stored =
-              m.cas(shared_key(k), make_value(k, kValueBytes), 0, 0, cas);
+              m.store(shared_key(k), make_value(k, kValueBytes), 0, 0,
+                      {Condition::kVersion, cas});
           if (stored == StatusCode::kOk) cas_wins.fetch_add(1);
         }
       }
@@ -297,6 +309,179 @@ TEST(ShardedManagerStress, ConcurrentMixedOpsKeepInvariants) {
     if (m.exists(shared_key(k))) ++live;
   }
   EXPECT_EQ(m.item_count(), live);
+}
+
+// Conditional and read-modify-write ops racing on one key of a one-shard
+// store: four threads released together by a start barrier. Each op must be
+// atomic -- a check (or read) and its commit with no writer in between.
+constexpr unsigned kRmwThreads = 4;
+
+ShardedManager one_shard(bool optimistic_reads = true,
+                         sim::Nanos modelled_op_cost = sim::Nanos{0}) {
+  ManagerConfig cfg = base_config(StorageMode::kInMemory, 1);
+  cfg.optimistic_reads = optimistic_reads;
+  cfg.modelled_op_cost = modelled_op_cost;
+  return ShardedManager(cfg, nullptr);
+}
+
+// Releases kRmwThreads threads per generation at the same instant. It spins
+// rather than sleeping in a futex, so no thread gets a head start while the
+// others wake up -- a head start would let it finish its op unraced.
+class SpinGate {
+ public:
+  void arrive_and_wait() {
+    const unsigned target =
+        (arrived_.fetch_add(1) / kRmwThreads + 1) * kRmwThreads;
+    while (arrived_.load() < target) std::this_thread::yield();
+  }
+
+ private:
+  std::atomic<unsigned> arrived_{0};
+};
+
+template <typename Fn>
+void run_together(Fn&& body) {
+  SpinGate start;
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kRmwThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      body(t);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
+TEST(ShardedManagerStress, ConcurrentIncrsSumExactly) {
+  constexpr std::uint64_t kIncrsPerThread = 50000;
+  ShardedManager m = one_shard();
+  ASSERT_EQ(m.store("ctr", std::vector<char>{'0'}, 0, 0), StatusCode::kOk);
+  std::atomic<std::uint64_t> failed{0};
+  run_together([&](unsigned) {
+    for (std::uint64_t i = 0; i < kIncrsPerThread; ++i) {
+      if (!m.update("ctr", {Update::kIncr, {}, 1}).ok()) failed.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failed.load(), 0u);
+  std::vector<char> out;
+  std::uint32_t flags = 0;
+  ASSERT_EQ(m.get("ctr", out, flags), StatusCode::kOk);
+  EXPECT_EQ(std::string(out.begin(), out.end()),
+            std::to_string(kRmwThreads * kIncrsPerThread));
+}
+
+// Counts the rounds in which not exactly one of the threads' adds of that
+// round's fresh key answered kOk.
+unsigned rounds_without_one_winner(ShardedManager& m, unsigned rounds,
+                                   std::size_t value_bytes) {
+  std::vector<std::atomic<unsigned>> winners(rounds);
+  SpinGate round;
+  run_together([&](unsigned tid) {
+    for (unsigned r = 0; r < rounds; ++r) {
+      round.arrive_and_wait();  // every thread adds round r's key together
+      const std::string key = "fresh-" + std::to_string(r);
+      if (m.store(key, make_value(tid, value_bytes), 0, 0,
+                  {Condition::kAbsent}) == StatusCode::kOk) {
+        winners[r].fetch_add(1);
+      }
+    }
+  });
+  return static_cast<unsigned>(
+      std::count_if(winners.begin(), winners.end(),
+                    [](const auto& w) { return w.load() != 1; }));
+}
+
+TEST(ShardedManagerStress, ConcurrentAddsHaveOneWinner) {
+  constexpr unsigned kRounds = 500;
+  {
+    ShardedManager m = one_shard();
+    EXPECT_EQ(rounds_without_one_winner(m, kRounds, 32), 0u) << "in memory";
+  }
+  // Hybrid, with RAM for four items: from the fifth round on, the winner's
+  // allocation flushes an item and drops the shard lock for the SSD write,
+  // so the others check the key while the winner has not yet committed.
+  // Only the re-check after the allocation keeps them out -- on any host,
+  // with or without a second core.
+  sim::ScopedTimeScale scale(1.0);
+  ssd::StorageStack stack(SsdProfile::sata(), ssd::PageCacheConfig{});
+  ManagerConfig cfg = base_config(StorageMode::kHybrid, 1);
+  cfg.slab.memory_limit = 4 * cfg.slab.slab_bytes;
+  ShardedManager m(cfg, &stack);
+  EXPECT_EQ(rounds_without_one_winner(m, kRounds, 40 << 10), 0u) << "hybrid";
+  EXPECT_GT(m.stats().flushes, 0u);
+}
+
+TEST(ShardedManagerStress, ConcurrentAppendsKeepEveryByte) {
+  constexpr std::size_t kAppendsPerThread = 500;
+  // A modelled under-lock cost makes each commit sleep with the lock held,
+  // so the other threads read the value meanwhile: their read and commit
+  // interleave on any host, as they would on several cores.
+  ShardedManager m = one_shard(true, sim::us(5));
+  ASSERT_EQ(m.store("log", std::vector<char>{'>'}, 0, 0), StatusCode::kOk);
+  run_together([&](unsigned tid) {
+    const char mine = static_cast<char>('a' + tid);
+    for (std::size_t i = 0; i < kAppendsPerThread; ++i) {
+      ASSERT_EQ(m.update("log", {Update::kAppend, {&mine, 1}}).status(),
+                StatusCode::kOk);
+    }
+  });
+  std::vector<char> out;
+  std::uint32_t flags = 0;
+  ASSERT_EQ(m.get("log", out, flags), StatusCode::kOk);
+  ASSERT_EQ(out.size(), 1 + kRmwThreads * kAppendsPerThread);
+  EXPECT_EQ(out.front(), '>');
+  for (unsigned t = 0; t < kRmwThreads; ++t) {
+    EXPECT_EQ(std::count(out.begin(), out.end(), static_cast<char>('a' + t)),
+              static_cast<std::ptrdiff_t>(kAppendsPerThread));
+  }
+}
+
+TEST(ShardedManagerStress, GetCasPairsAreConsistent) {
+  // Two writers store unique values (alternating slab classes, so stores
+  // both overwrite in place and relocate); two readers take (value, CAS)
+  // pairs. A value is written once, so it must always come back with the
+  // same CAS -- on the lock-free path and on the locked one.
+  constexpr unsigned kOpsPerThread = 4000;
+  for (const bool optimistic : {true, false}) {
+    ShardedManager m = one_shard(optimistic);
+    ASSERT_EQ(m.store("k", std::vector<char>{'-'}, 0, 0), StatusCode::kOk);
+    std::vector<std::map<std::string, std::uint64_t>> seen(kRmwThreads);
+    std::atomic<std::uint64_t> mismatches{0};
+    run_together([&](unsigned tid) {
+      std::vector<char> out;
+      std::uint32_t flags = 0;
+      for (unsigned i = 0; i < kOpsPerThread; ++i) {
+        if (tid < 2) {
+          std::string value = std::to_string(tid) + "-" + std::to_string(i);
+          value.resize(i % 2 == 0 ? 16 : 2000, '.');
+          ASSERT_EQ(m.store("k", value, 0, 0), StatusCode::kOk);
+          continue;
+        }
+        std::uint64_t cas = 0;
+        ASSERT_EQ(m.get("k", out, flags, &cas), StatusCode::kOk);
+        const auto [it, fresh] =
+            seen[tid].emplace(std::string(out.begin(), out.end()), cas);
+        if (!fresh && it->second != cas) mismatches.fetch_add(1);
+      }
+    });
+    std::map<std::string, std::uint64_t> all;
+    for (const auto& reader : seen) {
+      for (const auto& [value, cas] : reader) {
+        const auto [it, fresh] = all.emplace(value, cas);
+        if (!fresh && it->second != cas) mismatches.fetch_add(1);
+      }
+    }
+    EXPECT_EQ(mismatches.load(), 0u) << "optimistic_reads=" << optimistic;
+
+    // With no writer in between, the token of a get is accepted by a cas.
+    std::vector<char> out;
+    std::uint32_t flags = 0;
+    std::uint64_t cas = 0;
+    ASSERT_EQ(m.get("k", out, flags, &cas), StatusCode::kOk);
+    EXPECT_EQ(m.store("k", std::vector<char>{'+'}, 0, 0,
+                      {Condition::kVersion, cas}),
+              StatusCode::kOk);
+  }
 }
 
 }  // namespace
