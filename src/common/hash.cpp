@@ -1,6 +1,5 @@
 #include "common/hash.hpp"
 
-#include <array>
 #include <bit>
 #include <cstring>
 
@@ -36,26 +35,6 @@ inline std::uint64_t xx_merge_round(std::uint64_t acc, std::uint64_t val) noexce
   acc ^= xx_round(0, val);
   acc = acc * kXxPrime1 + kXxPrime4;
   return acc;
-}
-
-// CRC32-C lookup table generated at static-init time.
-struct Crc32cTable {
-  std::array<std::uint32_t, 256> entries{};
-  Crc32cTable() noexcept {
-    constexpr std::uint32_t kPoly = 0x82F63B78u;  // reflected Castagnoli
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1u) ? (crc >> 1) ^ kPoly : crc >> 1;
-      }
-      entries[i] = crc;
-    }
-  }
-};
-
-const Crc32cTable& crc_table() noexcept {
-  static const Crc32cTable table;
-  return table;
 }
 
 }  // namespace
@@ -123,25 +102,6 @@ std::uint64_t xxh64(const void* data, std::size_t len, std::uint64_t seed) noexc
   h *= kXxPrime3;
   h ^= h >> 32;
   return h;
-}
-
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) noexcept {
-  std::uint64_t hash = seed;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = ~seed;
-  const auto& table = crc_table().entries;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
 }
 
 }  // namespace hykv

@@ -4,9 +4,8 @@
 //   server hash table (store/hash_map.hpp) and, through its top bits, by
 //   ShardedManager's shard selection.
 // - xxh64: fast 64-bit hash; places keys on the client's server-selection
-//   ring (client/ring.hpp) and serves checksums, dedup and test fixtures.
-// - fnv1a64: simple/seedable; used where incremental hashing is handy.
-// - crc32c (software): item payload integrity checks on the SSD path.
+//   ring (client/ring.hpp) and checksums SSD records (store/item.hpp).
+// - mix64: splitmix64 finalizer for integer keys, seeds and fault draws.
 #pragma once
 
 #include <cstddef>
@@ -22,15 +21,6 @@ std::uint32_t jenkins_oaat(std::string_view data) noexcept;
 std::uint64_t xxh64(const void* data, std::size_t len, std::uint64_t seed = 0) noexcept;
 inline std::uint64_t xxh64(std::string_view data, std::uint64_t seed = 0) noexcept {
   return xxh64(data.data(), data.size(), seed);
-}
-
-/// FNV-1a 64-bit.
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed = 14695981039346656037ULL) noexcept;
-
-/// CRC32-C (Castagnoli), software table implementation.
-std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed = 0) noexcept;
-inline std::uint32_t crc32c(std::string_view data, std::uint32_t seed = 0) noexcept {
-  return crc32c(data.data(), data.size(), seed);
 }
 
 /// 64-bit finalizer (splitmix64) for integer keys; good avalanche.

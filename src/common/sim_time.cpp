@@ -79,16 +79,4 @@ void init_precise_timing() noexcept {
 #endif
 }
 
-Nanos measure_sleep_overshoot() {
-  constexpr int kSamples = 32;
-  Nanos worst{0};
-  for (int i = 0; i < kSamples; ++i) {
-    const TimePoint deadline = Clock::now() + us(100);
-    std::this_thread::sleep_until(deadline);
-    const Nanos over = Clock::now() - deadline;
-    if (over > worst) worst = over;
-  }
-  return worst;
-}
-
 }  // namespace hykv::sim

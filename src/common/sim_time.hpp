@@ -73,7 +73,4 @@ void advance_coarse(Nanos modelled);
 /// Idempotent; called from main() of benches/examples and from test setup.
 void init_precise_timing() noexcept;
 
-/// One-shot measurement of sleep overshoot on this machine (diagnostic).
-Nanos measure_sleep_overshoot();
-
 }  // namespace hykv::sim

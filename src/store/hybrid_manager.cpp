@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/atomic_bytes.hpp"
-#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace hykv::store {
@@ -211,11 +210,11 @@ bool HybridSlabManager::do_flush_batch(unsigned cls) {
     const auto offset = static_cast<std::uint32_t>(staging.size());
     staging.resize(staging.size() + rec_size);
     char* p = staging.data() + offset;
-    const std::uint32_t crc = crc32c(static_cast<const void*>(item->value_data()), item->value_len);
+    const std::uint32_t checksum = record_checksum(item->value());
     put_u32(p, item->key_len);
     put_u32(p + 4, item->value_len);
     put_u32(p + 8, item->flags);
-    put_u32(p + 12, crc);
+    put_u32(p + 12, checksum);
     put_i64(p + 16, item->expiry);
     std::memcpy(p + SsdItemFraming::kHeaderBytes, item->key_data(),
                 item->key_len);
@@ -227,7 +226,7 @@ bool HybridSlabManager::do_flush_batch(unsigned cls) {
     record->key_len = item->key_len;
     record->value_len = item->value_len;
     record->flags = item->flags;
-    record->value_crc = crc;
+    record->value_checksum = checksum;
     record->expiry = item->expiry;
     record->cas = item->cas;
     record->scheme = scheme;
@@ -630,7 +629,7 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
     return StatusCode::kServerError;
   }
   consecutive_io_errors_ = 0;  // a served read breaks the failure streak
-  if (crc32c(static_cast<const void*>(out.data()), out.size()) != record->value_crc) {
+  if (record_checksum(out) != record->value_checksum) {
     ++stats_.checksum_failures;
     ++stats_.misses;
     return StatusCode::kServerError;

@@ -249,7 +249,7 @@ class HybridSlabManager {
     std::uint32_t key_len = 0;
     std::uint32_t value_len = 0;
     std::uint32_t flags = 0;
-    std::uint32_t value_crc = 0;
+    std::uint32_t value_checksum = 0;
     std::int64_t expiry = 0;
     std::uint64_t cas = 0;
     ssd::IoScheme scheme = ssd::IoScheme::kDirect;

@@ -23,6 +23,7 @@
 #include <string_view>
 
 #include "common/atomic_bytes.hpp"
+#include "common/hash.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace hykv::store {
@@ -168,7 +169,7 @@ class LruList {
 };
 
 /// On-SSD flat record framing used when items are flushed:
-/// [u32 key_len][u32 value_len][u32 flags][u32 crc32c(value)][i64 expiry][key][value]
+/// [u32 key_len][u32 value_len][u32 flags][u32 record_checksum(value)][i64 expiry][key][value]
 struct SsdItemFraming {
   static constexpr std::size_t kHeaderBytes = 4 * 4 + 8;
   static constexpr std::size_t record_size(std::size_t key_len,
@@ -176,5 +177,15 @@ struct SsdItemFraming {
     return kHeaderBytes + key_len + value_len;
   }
 };
+
+/// The value checksum an SSD record carries: the low 32 bits of
+/// xxh64(value, seed 0). The flush stamps it and every SSD-resident GET
+/// recomputes it, so writer and reader share this one definition. A
+/// truncated 32-bit hash misses a random corruption with the same 2^-32
+/// odds as CRC32-C but gives up CRC's burst-error guarantee; nothing in this
+/// simulator's fault model produces bursts that would need it.
+inline std::uint32_t record_checksum(std::span<const char> value) noexcept {
+  return static_cast<std::uint32_t>(xxh64(value.data(), value.size()));
+}
 
 }  // namespace hykv::store

@@ -9,22 +9,6 @@
 namespace hykv {
 namespace {
 
-TEST(Crc32cTest, KnownVector) {
-  // Canonical CRC32-C check value for the ASCII digits "123456789".
-  EXPECT_EQ(crc32c("123456789"), 0xE3069283u);
-}
-
-TEST(Crc32cTest, EmptyIsZero) { EXPECT_EQ(crc32c(""), 0u); }
-
-TEST(Crc32cTest, SeedChaining) {
-  // Chaining two halves through the seed must differ from plain concat only
-  // via the documented pre/post-inversion; we simply require determinism and
-  // sensitivity to the seed.
-  const std::string data = "hello world";
-  EXPECT_EQ(crc32c(data, 1), crc32c(data, 1));
-  EXPECT_NE(crc32c(data, 1), crc32c(data, 2));
-}
-
 TEST(JenkinsTest, DeterministicAndSpread) {
   EXPECT_EQ(jenkins_oaat("key-1"), jenkins_oaat("key-1"));
   std::set<std::uint32_t> seen;
@@ -33,6 +17,14 @@ TEST(JenkinsTest, DeterministicAndSpread) {
   }
   // No catastrophic collisions over a small key set.
   EXPECT_GE(seen.size(), 999u);
+}
+
+TEST(Xxh64Test, MatchesPublishedVectors) {
+  // Reference XXH64 outputs for seed 0. The SSD record checksum is the low
+  // 32 bits of this hash, so these pin the bytes hykv writes to the device.
+  EXPECT_EQ(xxh64(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(xxh64("abc"), 0x44BC2CF5AD770999ULL);
 }
 
 TEST(Xxh64Test, SeedAndLengthSensitivity) {
@@ -59,12 +51,6 @@ TEST(Mix64Test, InjectiveOnSample) {
   std::set<std::uint64_t> out;
   for (std::uint64_t i = 0; i < 10000; ++i) out.insert(mix64(i));
   EXPECT_EQ(out.size(), 10000u);
-}
-
-TEST(Fnv1aTest, MatchesReferenceBehaviour) {
-  // FNV-1a of empty input with the standard offset basis is the basis.
-  EXPECT_EQ(fnv1a64(""), 14695981039346656037ULL);
-  EXPECT_NE(fnv1a64("a"), fnv1a64("b"));
 }
 
 }  // namespace

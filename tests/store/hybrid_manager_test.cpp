@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -145,6 +146,41 @@ TEST_F(HybridManagerTest, HybridRetainsEverythingOnSsd) {
   EXPECT_GT(stats.ram_hits, 0u);
   EXPECT_EQ(stats.checksum_failures, 0u);
   EXPECT_EQ(m.item_count(), kCount);
+}
+
+TEST_F(HybridManagerTest, CorruptedSsdRecordFailsChecksum) {
+  // Default kDirectAll policy: the GET reads the device, not a cached copy.
+  ssd::StorageStack storage(SsdProfile::sata(), test_cache());
+  HybridSlabManager m(base_config(StorageMode::kHybrid), &storage);
+  constexpr std::size_t kSize = 30 << 10;
+  for (std::uint64_t i = 0; i < 120; ++i) ASSERT_EQ(set(m, i, kSize), StatusCode::kOk);
+  m.sync_storage();
+
+  // Locate key 0's flushed record ([header][key][value]) by its key+value
+  // bytes, then flip one value byte behind the store's back.
+  const std::string key = make_key(0);
+  std::vector<char> needle(key.begin(), key.end());
+  const std::vector<char> value = make_value(0, kSize);
+  needle.insert(needle.end(), value.begin(), value.end());
+  bool corrupted = false;
+  for (ssd::ExtentId id = 1; !corrupted; ++id) {
+    const std::size_t size = storage.device().extent_size(id);
+    ASSERT_GT(size, 0u) << "key 0 not found on the device";
+    std::vector<char> bytes(size);
+    ASSERT_EQ(storage.device().read_raw(id, 0, bytes), StatusCode::kOk);
+    const auto at = std::search(bytes.begin(), bytes.end(), needle.begin(), needle.end());
+    if (at == bytes.end()) continue;
+    const std::size_t offset =
+        static_cast<std::size_t>(at - bytes.begin()) + needle.size() - kSize / 2;
+    const char flipped = static_cast<char>(bytes[offset] ^ 0x01);
+    ASSERT_EQ(storage.device().write_raw(id, offset, {&flipped, 1}), StatusCode::kOk);
+    corrupted = true;
+  }
+
+  std::vector<char> out;
+  std::uint32_t flags = 0;
+  EXPECT_EQ(m.get(key, out, flags), StatusCode::kServerError);
+  EXPECT_EQ(m.stats().checksum_failures, 1u);
 }
 
 TEST_F(HybridManagerTest, SsdHitPromotesWhenRoomAvailable) {
