@@ -146,7 +146,10 @@ void Endpoint::register_memory(const char* addr, std::size_t len) {
   bool cached = false;
   {
     const MutexLock lock(mu_);
-    cached = reg_cache_.contains(key);
+    if (const auto it = reg_cache_.find(key); it != reg_cache_.end()) {
+      reg_lru_.splice(reg_lru_.begin(), reg_lru_, it->second);
+      cached = true;
+    }
   }
   if (cached) {
     stats_.add(&EndpointStats::registration_hits);
@@ -156,8 +159,17 @@ void Endpoint::register_memory(const char* addr, std::size_t len) {
   // Cold registration: pin pages, build HCA translation entries.
   sim::advance(fabric_.profile().registration_time(len));
   const MutexLock lock(mu_);
-  reg_cache_.insert(key);
   stats_.add(&EndpointStats::registrations);
+  const auto [it, inserted] = reg_cache_.try_emplace(key);
+  if (!inserted) return;  // another thread registered it meanwhile
+  reg_lru_.push_front(key);
+  it->second = reg_lru_.begin();
+  if (reg_cache_.size() > kRegCacheCapacity) {
+    // Deregister the least recently used region.
+    reg_cache_.erase(reg_lru_.back());
+    reg_lru_.pop_back();
+    stats_.add(&EndpointStats::registration_evictions);
+  }
 }
 
 void Endpoint::close() { rx_.close(); }

@@ -19,11 +19,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -50,7 +50,8 @@ class Fabric;
   X(std::uint64_t, faults_dropped) /* messages lost by the injector */     \
   X(std::uint64_t, faults_duplicated) /* messages delivered twice */       \
   X(std::uint64_t, faults_delayed) /* messages given extra delay */        \
-  X(std::uint64_t, faults_link_down) /* sends refused: link down */
+  X(std::uint64_t, faults_link_down) /* sends refused: link down */        \
+  X(std::uint64_t, registration_evictions) /* LRU regions deregistered */
 
 struct EndpointStats {
   HYKV_COUNTER_FIELDS(EndpointStats, HYKV_ENDPOINT_STATS_FIELDS)
@@ -67,6 +68,12 @@ struct RegCacheKey {
 struct RegCacheKeyHash {
   std::size_t operator()(const RegCacheKey& key) const noexcept;
 };
+
+/// Regions an endpoint's registration cache keeps registered. Far above the
+/// buffers a client reuses (its bounce slots and a window of iget
+/// destinations), so those stay hot; a stream of one-off buffers (zero-copy
+/// iset values) cycles through the rest instead of growing memory per op.
+inline constexpr std::size_t kRegCacheCapacity = std::size_t{1} << 16;
 
 class Endpoint {
  public:
@@ -95,8 +102,9 @@ class Endpoint {
   /// Registers `len` bytes at `addr` with the (simulated) HCA. First
   /// registration of an (addr, len) pays the full pinning cost; repeats hit
   /// the registration cache (the mechanism that motivates the bset/bget
-  /// reusable-buffer design).
-  void register_memory(const char* addr, std::size_t len);
+  /// reusable-buffer design) until kRegCacheCapacity newer regions have
+  /// pushed it out.
+  void register_memory(const char* addr, std::size_t len) EXCLUDES(mu_);
 
   void close();
   [[nodiscard]] bool closed() const { return rx_.closed(); }
@@ -115,9 +123,13 @@ class Endpoint {
   metrics::CounterSlot<EndpointStats> stats_;
 
   Mutex mu_;
-  // Registration cache: every (addr, len) registered so far. Emulates the
-  // lazy deregistration caches RDMA middleware uses to amortise ibv_reg_mr.
-  std::unordered_set<RegCacheKey, RegCacheKeyHash> reg_cache_ GUARDED_BY(mu_);
+  // Registration cache: the kRegCacheCapacity most recently used (addr, len)
+  // regions, most recent first in reg_lru_. Emulates the lazy deregistration
+  // caches RDMA middleware uses to amortise ibv_reg_mr.
+  std::list<RegCacheKey> reg_lru_ GUARDED_BY(mu_);
+  std::unordered_map<RegCacheKey, std::list<RegCacheKey>::iterator,
+                     RegCacheKeyHash>
+      reg_cache_ GUARDED_BY(mu_);
   // NIC occupancy horizons for the link model: written only by the owning
   // fabric's reserve_path under ITS lock, never under this->mu_.
   sim::TimePoint tx_free_ GUARDED_BY(fabric_.mu_){};

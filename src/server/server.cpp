@@ -191,13 +191,18 @@ constexpr std::uint64_t ServerCounters::*kOpCounters[metrics::kOpCount] = {
     &ServerCounters::deletes, &ServerCounters::touches,
     &ServerCounters::admin,   &ServerCounters::malformed};
 
-/// One op's outcome, kept until the frame's reply is out.
-struct OpOutcome {
-  metrics::Op op = metrics::Op::kOther;
-  StatusCode status = StatusCode::kServerError;
-  bool traced = false;
-  std::uint64_t seq = 0;  ///< Trace sequence number when traced.
-};
+/// Turns a GET or GETS that read `value` into its reply value (GETS puts
+/// the CAS first); false when the read failed and the reply carries none.
+bool read_reply(std::uint16_t opcode, StatusCode status, std::uint64_t cas,
+                std::vector<char>& value) {
+  if (!ok(status)) return false;
+  if (opcode == kOpGets) {
+    char bytes[8];
+    std::memcpy(bytes, &cas, 8);
+    value.insert(value.begin(), bytes, bytes + 8);
+  }
+  return true;
+}
 }  // namespace
 
 MemcachedServer::MemcachedServer(net::Fabric& fabric, ServerConfig config,
@@ -226,6 +231,9 @@ void MemcachedServer::start() {
     for (unsigned i = 0; i < config_.processing_threads; ++i) {
       threads_.emplace_back([this, i] { worker_main(i); });
     }
+    for (unsigned i = 0; i < kCompletionThreads; ++i) {
+      completers_.emplace_back([this] { completion_main(); });
+    }
   }
 }
 
@@ -236,6 +244,11 @@ void MemcachedServer::stop() {
   buffered_.close();
   for (auto& thread : threads_) thread.join();
   threads_.clear();
+  // The workers defer no more: the completion pool drains what they left,
+  // so no read stays pinned once the manager goes away.
+  deferred_.close();
+  for (auto& thread : completers_) thread.join();
+  completers_.clear();
 }
 
 void MemcachedServer::network_main() {
@@ -288,15 +301,39 @@ void MemcachedServer::worker_main(std::size_t worker_index) {
   const bool admission_on =
       config_.max_inflight > 0 || config_.admission_queue_limit > 0;
   while (auto buffered = buffered_.pop()) {
-    handle(buffered->msg, metrics,
-           RequestContext{buffered->received_at, sim::now()});
+    const bool replied = handle(buffered->msg, metrics,
+                                RequestContext{buffered->received_at, sim::now()});
+    // A deferred request stays admitted until its reply is out.
+    if (replied && admission_on) inflight_.fetch_sub(1, kRelaxed);
+  }
+}
+
+void MemcachedServer::completion_main() {
+  const bool admission_on =
+      config_.max_inflight > 0 || config_.admission_queue_limit > 0;
+  while (auto get = deferred_.pop()) {
+    finish_deferred(*get);
     if (admission_on) inflight_.fetch_sub(1, kRelaxed);
   }
 }
 
+void MemcachedServer::finish_deferred(DeferredGet& get) {
+  std::vector<char> value;
+  std::uint32_t flags = 0;
+  std::uint64_t cas = 0;
+  const StatusCode status = manager_.finish_read(
+      get.read, value, flags, get.opcode == kOpGets ? &cas : nullptr);
+  const bool has_value = read_reply(get.opcode, status, cas, value);
+  get.outcome.status = status;
+  ReplyWriter reply(RequestFrame{});  // a plain frame's reply
+  reply.add(get.wr_id, status, flags,
+            has_value ? std::span<const char>(value) : std::span<const char>{});
+  respond(get.src, get.wr_id, reply, get.timeline, {&get.outcome, 1});
+}
+
 MemcachedServer::OpResult MemcachedServer::execute_op(
     std::uint16_t opcode, std::span<const char> body,
-    std::vector<char>& value) {
+    std::vector<char>& value, store::PendingRead* deferred) {
   const std::optional<OpRequest> req = decode_request(opcode, body);
   if (!req.has_value()) return {};  // malformed: kInvalidArgument, kOther
   OpResult result{.op = op_class(opcode)};
@@ -335,19 +372,11 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
       break;
     }
     case kOpGet:
-      status = manager_.get(req->key, value, result.flags);
-      result.has_value = ok(status);
-      break;
     case kOpGets: {
-      std::vector<char> raw;
       std::uint64_t cas = 0;
-      status = manager_.get(req->key, raw, result.flags, &cas);
-      if (ok(status)) {
-        value.resize(8 + raw.size());
-        std::memcpy(value.data(), &cas, 8);
-        std::memcpy(value.data() + 8, raw.data(), raw.size());
-        result.has_value = true;
-      }
+      status = manager_.get(req->key, value, result.flags,
+                            opcode == kOpGets ? &cas : nullptr, deferred);
+      result.has_value = read_reply(opcode, status, cas, value);
       break;
     }
     case kOpDelete:
@@ -390,40 +419,27 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
   return result;
 }
 
-void MemcachedServer::handle(const net::Message& request,
+bool MemcachedServer::handle(const net::Message& request,
                              WorkerMetrics& metrics,
                              const RequestContext& ctx) {
   const RequestFrame frame = open_frame(request);
   const std::span<const BatchItem> ops = frame.ops();
   count_arrival(metrics, frame);
 
-  // Observability (DESIGN.md §10): the stages this frame passes through, as
-  // offsets from the earliest instant known for it -- the fabric post when
-  // stamped (hand-built test messages may lack it), else server receipt.
-  // One list feeds the span histograms and every sampled op's trace. With
-  // recorder and tracer both off, no stage costs even a clock read.
-  metrics::LatencyRecorder* const recorder = recorder_.get();
-  const bool observing = recorder != nullptr || tracer_ != nullptr;
+  // Observability (DESIGN.md §10): one timeline feeds the span histograms
+  // and every sampled op's trace. With recorder and tracer both off, no
+  // stage costs even a clock read.
+  const bool observing = recorder_ != nullptr || tracer_ != nullptr;
   const bool stamped = request.sent_at != sim::TimePoint{};
-  const sim::TimePoint origin = stamped ? request.sent_at : ctx.received_at;
-  metrics::Trace stages;
-  const auto add_stage = [&](metrics::Span span, sim::TimePoint start,
-                             sim::TimePoint end) {
-    stages.add_span(span, metrics::delta_ns(origin, start),
-                    metrics::delta_ns(start, end));
-  };
-  const auto record_stages = [&] {
-    if (recorder == nullptr) return;
-    for (std::uint32_t i = 0; i < stages.span_count; ++i) {
-      recorder->record_span(stages.spans[i].span, stages.spans[i].duration_ns);
-    }
-  };
+  Timeline timeline{.origin = stamped ? request.sent_at : ctx.received_at,
+                    .received_at = ctx.received_at};
   if (stamped) {
-    add_stage(metrics::Span::kFabricTransfer, request.sent_at,
-              request.deliver_at);
+    timeline.add(metrics::Span::kFabricTransfer, request.sent_at,
+                 request.deliver_at);
   }
   if (ctx.dequeued_at > ctx.received_at) {
-    add_stage(metrics::Span::kAdmissionWait, ctx.received_at, ctx.dequeued_at);
+    timeline.add(metrics::Span::kAdmissionWait, ctx.received_at,
+                 ctx.dequeued_at);
   }
 
   // Deadline propagation: the frame carries one deadline (the tightest of
@@ -435,64 +451,94 @@ void MemcachedServer::handle(const net::Message& request,
       sim::now().time_since_epoch().count() > frame.deadline_ns) {
     metrics.add(&ServerCounters::expired_on_arrival, ops.size());
     reply_all(request, frame, StatusCode::kBusy);
-    record_stages();
-    return;
+    record_stages(timeline.stages);
+    return true;
   }
 
   // Store phase: each op runs through the same dispatch, whatever the frame
   // shape, and its reply joins the frame's one reply. A plain frame keeps
-  // its one outcome on the stack.
+  // its one outcome on the stack. On the async server a plain GET or GETS
+  // found on the SSD is deferred: the op is counted here, and a completion
+  // thread reads the pinned record and replies. Batch frames read the SSD
+  // inline: their one reply waits for every op anyway.
   OpOutcome one;
   std::vector<OpOutcome> many(frame.batched() ? ops.size() : 0);
   const std::span<OpOutcome> outcomes =
       many.empty() ? std::span<OpOutcome>(&one, 1) : std::span<OpOutcome>(many);
-  const sim::TimePoint store_start = observing ? sim::now() : sim::TimePoint{};
+  timeline.store_start = observing ? sim::now() : sim::TimePoint{};
+  store::PendingRead pending;
+  store::PendingRead* const defer =
+      config_.async_processing && !frame.batched() ? &pending : nullptr;
   ReplyWriter reply(frame);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     OpOutcome& outcome = outcomes[i];
     outcome.traced = tracer_ != nullptr && tracer_->sample(outcome.seq);
     std::vector<char> value;
-    const OpResult result = execute_op(ops[i].opcode, ops[i].payload, value);
+    const OpResult result =
+        execute_op(ops[i].opcode, ops[i].payload, value, defer);
     metrics.add(kOpCounters[static_cast<std::size_t>(result.op)]);
     outcome.op = result.op;
     outcome.status = result.status;
+    if (result.status == StatusCode::kInProgress) {
+      deferred_.push(DeferredGet{.read = std::move(pending),
+                                 .src = request.src,
+                                 .wr_id = request.wr_id,
+                                 .opcode = ops[i].opcode,
+                                 .timeline = timeline,
+                                 .outcome = outcome});
+      return false;
+    }
     reply.add(ops[i].wr_id, result.status, result.flags,
               result.has_value ? std::span<const char>(value)
                                : std::span<const char>{});
   }
+  respond(request.src, request.wr_id, reply, timeline, outcomes);
+  return true;
+}
 
+void MemcachedServer::respond(net::EndpointId dst, std::uint64_t wr_id,
+                              const ReplyWriter& reply, Timeline& timeline,
+                              std::span<const OpOutcome> outcomes) {
   // Response: one reply, one doorbell, for the whole frame.
+  metrics::LatencyRecorder* const recorder = recorder_.get();
+  const bool observing = recorder != nullptr || tracer_ != nullptr;
   const sim::TimePoint response_start =
       observing ? sim::now() : sim::TimePoint{};
-  HYKV_DEBUG("server %llu handled wr=%llu op=%u ops=%zu",
+  HYKV_DEBUG("server %llu handled wr=%llu ops=%zu",
              static_cast<unsigned long long>(endpoint_->id()),
-             static_cast<unsigned long long>(request.wr_id), request.opcode,
-             ops.size());
-  endpoint_->send(request.src, reply.opcode(), request.wr_id,
-                  reply.payload());
+             static_cast<unsigned long long>(wr_id), outcomes.size());
+  endpoint_->send(dst, reply.opcode(), wr_id, reply.payload());
   if (!observing) return;
 
   const sim::TimePoint response_end = sim::now();
-  add_stage(metrics::Span::kStorePhase, store_start, response_start);
-  add_stage(metrics::Span::kResponse, response_start, response_end);
-  record_stages();
+  timeline.add(metrics::Span::kStorePhase, timeline.store_start,
+               response_start);
+  timeline.add(metrics::Span::kResponse, response_start, response_end);
+  record_stages(timeline.stages);
   // Each op's latency is receipt -> reply sent, which keeps the METRICS.md
   // balance: the op counts sum to requests - shed - expired_on_arrival.
   for (const OpOutcome& outcome : outcomes) {
     if (recorder != nullptr) {
       recorder->record_op(outcome.op,
-                          metrics::delta_ns(ctx.received_at, response_end));
+                          metrics::delta_ns(timeline.received_at, response_end));
     }
     if (outcome.traced) {
-      metrics::Trace trace = stages;
+      metrics::Trace trace = timeline.stages;
       trace.seq = outcome.seq;
       trace.op = outcome.op;
       trace.status = static_cast<std::uint8_t>(outcome.status);
-      trace.start_ns = static_cast<std::uint64_t>(
-          std::max<std::int64_t>(origin.time_since_epoch().count(), 0));
-      trace.total_ns = metrics::delta_ns(origin, response_end);
+      trace.start_ns = static_cast<std::uint64_t>(std::max<std::int64_t>(
+          timeline.origin.time_since_epoch().count(), 0));
+      trace.total_ns = metrics::delta_ns(timeline.origin, response_end);
       tracer_->publish(trace);
     }
+  }
+}
+
+void MemcachedServer::record_stages(const metrics::Trace& stages) {
+  if (recorder_ == nullptr) return;
+  for (std::uint32_t i = 0; i < stages.span_count; ++i) {
+    recorder_->record_span(stages.spans[i].span, stages.spans[i].duration_ns);
   }
 }
 

@@ -14,7 +14,10 @@
 //     memory/SSD phase runs off the receive path and the response is sent on
 //     completion (the dotted-green path in Fig. 3). When the slot pool is
 //     full the receive loop stalls -- the backpressure that bounds how far a
-//     bursty non-blocking client can run ahead of a busy server.
+//     bursty non-blocking client can run ahead of a busy server. A plain GET
+//     whose key sits on the SSD does not hold its worker for the flash read
+//     either: the worker pins the record and moves on, and a small pool of
+//     completion threads reads it and sends the reply (DESIGN.md §13).
 //
 // The storage tier behind the workers is sharded (store::ShardedManager):
 // requests for different key partitions never share a store lock, so
@@ -49,6 +52,15 @@
 namespace hykv::server {
 
 struct RequestFrame;  // protocol.hpp
+class ReplyWriter;   // protocol.hpp
+
+/// Async mode: threads that finish deferred SSD GETs and send their replies.
+/// Most deferred reads hit the page cache; with more threads those pass the
+/// reads that queue behind a write-back on a single SATA channel. On the
+/// overflow workload 1, 2, 4 and 8 threads gave 29.8k, 31.2k, 33.1k and
+/// 34.2k ops/s (DESIGN.md §13): four is the smallest within noise of the
+/// best.
+inline constexpr unsigned kCompletionThreads = 4;
 
 struct ServerConfig {
   std::string name = "memcached";
@@ -207,16 +219,62 @@ class MemcachedServer {
     bool has_value = false;
   };
 
+  /// One op's outcome, kept until the frame's reply is out.
+  struct OpOutcome {
+    metrics::Op op = metrics::Op::kOther;
+    StatusCode status = StatusCode::kServerError;
+    bool traced = false;
+    std::uint64_t seq = 0;  ///< Trace sequence number when traced.
+  };
+
+  /// The stages a frame passes through, as offsets from the earliest
+  /// instant known for it: the fabric post when stamped (hand-built test
+  /// messages may lack it), else server receipt.
+  struct Timeline {
+    sim::TimePoint origin{};
+    sim::TimePoint received_at{};
+    sim::TimePoint store_start{};
+    metrics::Trace stages{};
+
+    void add(metrics::Span span, sim::TimePoint start, sim::TimePoint end) {
+      stages.add_span(span, metrics::delta_ns(origin, start),
+                      metrics::delta_ns(start, end));
+    }
+  };
+
+  /// A plain GET or GETS frame whose SSD read a completion thread finishes.
+  struct DeferredGet {
+    store::PendingRead read;
+    net::EndpointId src = net::kInvalidEndpoint;
+    std::uint64_t wr_id = 0;
+    std::uint16_t opcode = 0;
+    Timeline timeline;
+    OpOutcome outcome;
+  };
+
   void network_main();
   void worker_main(std::size_t worker_index);
+  void completion_main();
   /// The one request handler, for either frame shape (protocol.hpp): counts
   /// the frame's ops, checks its deadline once, executes each op and sends
-  /// one reply (DESIGN.md §12).
-  void handle(const net::Message& request, WorkerMetrics& metrics,
+  /// one reply (DESIGN.md §12). Returns false when it left the reply to a
+  /// completion thread instead.
+  bool handle(const net::Message& request, WorkerMetrics& metrics,
               const RequestContext& ctx);
-  /// Decodes one op and runs it against the store.
+  /// Decodes one op and runs it against the store. A GET or GETS given
+  /// `deferred` may leave its SSD read there and answer kInProgress.
   OpResult execute_op(std::uint16_t opcode, std::span<const char> body,
-                      std::vector<char>& value);
+                      std::vector<char>& value,
+                      store::PendingRead* deferred = nullptr);
+  /// Finishes a deferred GET's SSD read and sends its reply.
+  void finish_deferred(DeferredGet& get);
+  /// Sends a frame's reply, then records its spans, its ops' latencies and
+  /// its sampled traces.
+  void respond(net::EndpointId dst, std::uint64_t wr_id,
+               const ReplyWriter& reply, Timeline& timeline,
+               std::span<const OpOutcome> outcomes);
+  /// Feeds a frame's spans to the recorder; a no-op with recording off.
+  void record_stages(const metrics::Trace& stages);
   /// Answers every op of the frame with `status` and no value, in one reply.
   void reply_all(const net::Message& request, const RequestFrame& frame,
                  StatusCode status);
@@ -235,7 +293,11 @@ class MemcachedServer {
   store::ShardedManager manager_;
 
   BlockingQueue<BufferedRequest> buffered_;  ///< Async mode slot pool.
-  std::vector<std::thread> threads_;
+  /// Async mode: GETs the workers deferred. Unbounded: each entry is an
+  /// admitted request, so the client windows and max_inflight bound it.
+  BlockingQueue<DeferredGet> deferred_;
+  std::vector<std::thread> threads_;  ///< Network thread, then the workers.
+  std::vector<std::thread> completers_;  ///< Async mode completion pool.
   std::atomic<bool> running_ ATOMIC_PUBLISHED(thread start/stop gate){false};
   /// Admitted-but-unfinished requests; only maintained when admission
   /// control is on, so the default hot path carries zero extra work.

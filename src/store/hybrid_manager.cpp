@@ -449,7 +449,8 @@ StatusCode HybridSlabManager::store(std::string_view key,
 }
 
 StatusCode HybridSlabManager::get(std::string_view key, std::vector<char>& out,
-                                  std::uint32_t& flags, std::uint64_t* cas) {
+                                  std::uint32_t& flags, std::uint64_t* cas,
+                                  PendingRead* deferred) {
   // One timestamp classifies the whole read by outcome: a GET that falls
   // back pays the failed optimistic attempt too, and that full cost lands in
   // the locked_read span (the cost the fallback actually imposed).
@@ -471,8 +472,23 @@ StatusCode HybridSlabManager::get(std::string_view key, std::vector<char>& out,
     opt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     pay_modelled_cost = false;
   }
-  const StatusCode code = get_locked(key, out, flags, cas, pay_modelled_cost);
+  const StatusCode code =
+      get_locked(key, out, flags, cas, pay_modelled_cost, deferred);
+  if (code == StatusCode::kInProgress) {
+    deferred->read_start = read_start;  // finish_read closes the span
+    return code;
+  }
   metrics::record_since(config_.latency, Span::kLockedRead, read_start);
+  return code;
+}
+
+StatusCode HybridSlabManager::finish_read(PendingRead& read,
+                                          std::vector<char>& out,
+                                          std::uint32_t& flags,
+                                          std::uint64_t* cas) {
+  const StatusCode code =
+      read_ssd(read.key, read.record, read.check_start, out, flags, cas);
+  metrics::record_since(config_.latency, Span::kLockedRead, read.read_start);
   return code;
 }
 
@@ -524,7 +540,8 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
                                          std::vector<char>& out,
                                          std::uint32_t& flags,
                                          std::uint64_t* cas,
-                                         bool pay_modelled_cost) {
+                                         bool pay_modelled_cost,
+                                         PendingRead* deferred) {
   MutexLock lock(mu_);
   if (pay_modelled_cost && config_.modelled_op_cost.count() > 0) {
     sim::advance_coarse(config_.modelled_op_cost);  // modelled under-lock CPU work
@@ -563,7 +580,8 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
     return StatusCode::kOk;
   }
 
-  // SSD hit: pin the record, drop the lock, read from flash.
+  // SSD hit: pin the record, drop the lock, read from flash -- here, or in
+  // the caller's finish_read.
   std::shared_ptr<SsdRecord> record = entry->ssd;
   assert(record != nullptr);
   if (expired(record->expiry)) {
@@ -574,15 +592,32 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
     charge_check();
     return StatusCode::kNotFound;
   }
+  if (deferred != nullptr) {
+    deferred->key.assign(key);
+    deferred->record = std::move(record);
+    deferred->check_start = check_start;
+    return StatusCode::kInProgress;
+  }
   lock.unlock();
+  return read_ssd(key, record, check_start, out, flags, cas);
+}
 
+StatusCode HybridSlabManager::read_ssd(std::string_view key,
+                                       const std::shared_ptr<SsdRecord>& record,
+                                       sim::TimePoint check_start,
+                                       std::vector<char>& out,
+                                       std::uint32_t& flags,
+                                       std::uint64_t* cas) {
+  auto charge_check = [&] {
+    metrics::record_since(config_.latency, Span::kCacheCheckLoad, check_start);
+  };
   const bool extent_failed = record->extent->wait_ready();
   if (extent_failed) {
     // The flush backing this record never reached the device: the data is
     // gone. flush_batch already erased the index entries; this reader just
     // pinned the record before that happened.
     charge_check();
-    lock.lock();
+    const MutexLock lock(mu_);
     Entry* current = index_.find(key);
     if (current != nullptr &&
         current->ram.load(std::memory_order_relaxed) == nullptr &&
@@ -617,7 +652,7 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
   if (cas != nullptr) *cas = record->cas;
   charge_check();  // SSD load is part of "Cache Check and Load"
 
-  lock.lock();
+  const MutexLock lock(mu_);
   if (!ok(code)) {
     ++stats_.misses;
     if (code == StatusCode::kIoError) {

@@ -22,12 +22,15 @@
 // serialised under the lock but written outside it, and SSD reads pin their
 // extent via shared_ptr so concurrent deletes/frees stay safe. Readers of an
 // extent whose write-back is still in flight wait on the extent's ready flag.
+// get() can also hand such a pinned read to its caller (PendingRead), whose
+// finish_read() runs it later on another thread.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -160,7 +163,21 @@ struct Update {
 };
 
 class HybridSlabManager {
+  struct SsdRecord;  // defined below
+
  public:
+  /// An SSD-resident GET whose flash read get() left to the caller: the
+  /// record the lookup found stays pinned, so finish_read() returns its
+  /// bytes and CAS even if a writer replaces the key first. The GET takes
+  /// effect at the lookup, like a locked read that drops the lock for the
+  /// flash.
+  struct PendingRead {
+    std::string key;
+    std::shared_ptr<SsdRecord> record;
+    sim::TimePoint read_start{};   ///< Opens the kLockedRead span.
+    sim::TimePoint check_start{};  ///< Opens the kCacheCheckLoad span.
+  };
+
   /// `storage` must outlive the manager; may be nullptr iff mode==kInMemory.
   HybridSlabManager(ManagerConfig config, ssd::StorageStack* storage);
   ~HybridSlabManager();
@@ -184,8 +201,17 @@ class HybridSlabManager {
   /// from one seqlock snapshot or one lock hold. On the locked path SSD
   /// loads are recorded as Span::kCacheCheckLoad, LRU promotion as
   /// kCacheUpdate; a lock-free hit records only kOptimisticRead.
+  /// With `deferred`, a key found on the SSD is pinned there and get()
+  /// returns kInProgress without reading it; finish_read() completes the GET.
   StatusCode get(std::string_view key, std::vector<char>& out,
-                 std::uint32_t& flags, std::uint64_t* cas = nullptr)
+                 std::uint32_t& flags, std::uint64_t* cas = nullptr,
+                 PendingRead* deferred = nullptr) EXCLUDES(mu_);
+
+  /// Completes a GET that get() deferred: reads the pinned record from
+  /// flash, checks it and promotes it as get() would have. Its kLockedRead
+  /// span runs from the lookup, so it includes the wait for this call.
+  StatusCode finish_read(PendingRead& read, std::vector<char>& out,
+                         std::uint32_t& flags, std::uint64_t* cas = nullptr)
       EXCLUDES(mu_);
 
   /// memcached append/prepend/incr/decr: reads the value and its CAS,
@@ -334,10 +360,20 @@ class HybridSlabManager {
       EXCLUDES(mu_);
 
   /// The pre-optimistic locked path; `pay_modelled_cost` is false when the
-  /// caller already realised modelled_op_cost before falling back.
+  /// caller already realised modelled_op_cost before falling back. An SSD
+  /// hit is read here unless `deferred` takes it (kInProgress).
   StatusCode get_locked(std::string_view key, std::vector<char>& out,
                         std::uint32_t& flags, std::uint64_t* cas,
-                        bool pay_modelled_cost) EXCLUDES(mu_);
+                        bool pay_modelled_cost, PendingRead* deferred)
+      EXCLUDES(mu_);
+
+  /// An SSD hit's read, run unlocked with `record` pinned: waits for the
+  /// write-back, reads and checks the value, then relocks to count it and
+  /// promote it.
+  StatusCode read_ssd(std::string_view key,
+                      const std::shared_ptr<SsdRecord>& record,
+                      sim::TimePoint check_start, std::vector<char>& out,
+                      std::uint32_t& flags, std::uint64_t* cas) EXCLUDES(mu_);
 
   [[nodiscard]] ssd::IoScheme scheme_for_class(unsigned cls) const noexcept;
   [[nodiscard]] bool expired(std::int64_t expiry) const noexcept;

@@ -64,6 +64,8 @@
 
 namespace hykv::store {
 
+using PendingRead = HybridSlabManager::PendingRead;
+
 class ShardedManager {
  public:
   /// Shards below this many slab pages of arena stop paying for themselves
@@ -90,8 +92,14 @@ class ShardedManager {
     return shard_for(key).store(key, value, flags, expiration, cond);
   }
   StatusCode get(std::string_view key, std::vector<char>& out,
-                 std::uint32_t& flags, std::uint64_t* cas = nullptr) {
-    return shard_for(key).get(key, out, flags, cas);
+                 std::uint32_t& flags, std::uint64_t* cas = nullptr,
+                 PendingRead* deferred = nullptr) {
+    return shard_for(key).get(key, out, flags, cas, deferred);
+  }
+  /// Routes by the pinned key: the shard that deferred the read.
+  StatusCode finish_read(PendingRead& read, std::vector<char>& out,
+                         std::uint32_t& flags, std::uint64_t* cas = nullptr) {
+    return shard_for(read.key).finish_read(read, out, flags, cas);
   }
   Result<std::uint64_t> update(std::string_view key, const Update& op) {
     return shard_for(key).update(key, op);

@@ -170,6 +170,34 @@ TEST_F(FabricTest, RegistrationCacheKeysOnAddressAndLength) {
   EXPECT_EQ(a->stats().registration_hits, 2u);
 }
 
+TEST_F(FabricTest, RegistrationCacheStaysBoundedAndKeepsHotBuffersHot) {
+  // A stream of one-off buffers (zero-copy iset values) cycles through the
+  // cache instead of growing it, while a buffer reused between them (an
+  // iget destination) keeps hitting.
+  sim::set_time_scale(0.0);
+  Fabric fabric(FabricProfile::fdr_rdma());
+  auto a = fabric.create_endpoint("a");
+  std::vector<char> hot(4096);
+  std::vector<char> pool(64);
+  a->register_memory(hot.data(), hot.size());
+  const std::size_t cold = kRegCacheCapacity + 1000;
+  for (std::size_t i = 0; i < cold; ++i) {
+    // Distinct (addr, len) pairs without distinct allocations.
+    a->register_memory(pool.data() + i % 64, 1 + i / 64);
+    a->register_memory(hot.data(), hot.size());
+  }
+  const EndpointStats stats = a->stats();
+  EXPECT_EQ(stats.registrations, cold + 1);
+  EXPECT_EQ(stats.registration_hits, cold);
+  // Live regions = registrations - evictions, held at the bound.
+  EXPECT_EQ(stats.registrations - stats.registration_evictions,
+            kRegCacheCapacity);
+
+  // The oldest one-off region was deregistered: it registers cold again.
+  a->register_memory(pool.data(), 1);
+  EXPECT_EQ(a->stats().registrations, cold + 2);
+}
+
 TEST_F(FabricTest, ManyMessagesArriveInOrderPerPair) {
   sim::set_time_scale(0.05);
   Fabric fabric(FabricProfile::fdr_rdma());
