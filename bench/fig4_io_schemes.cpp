@@ -16,13 +16,12 @@ namespace {
 
 double mean_write_us(ssd::StorageStack& stack, ssd::IoScheme scheme,
                      std::size_t size, int iters) {
-  ssd::IoEngine& engine = stack.engine(scheme);
   const auto payload = workload::dataset_value(size, size);
   sim::Nanos total{0};
   for (int i = 0; i < iters; ++i) {
     const auto id = stack.device().allocate(size).value();
     const auto t0 = sim::now();
-    (void)engine.write(id, 0, payload);
+    (void)stack.write(scheme, id, 0, payload);
     total += sim::now() - t0;
   }
   return static_cast<double>(total.count()) / iters / 1e3;

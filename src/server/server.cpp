@@ -218,6 +218,9 @@ MemcachedServer::MemcachedServer(net::Fabric& fabric, ServerConfig config,
                         config_.trace_sample_shift)
                   : nullptr),
       manager_(with_recorder(config_.manager, recorder_.get()), storage),
+      counts_inflight_(config_.async_processing &&
+                       (config_.max_inflight > 0 ||
+                        config_.admission_queue_limit > 0)),
       buffered_(config_.async_processing ? config_.request_buffer_slots : 0),
       metrics_(1 + (config_.async_processing ? config_.processing_threads : 0)) {}
 
@@ -252,14 +255,12 @@ void MemcachedServer::stop() {
 }
 
 void MemcachedServer::network_main() {
-  const bool admission_on =
-      config_.max_inflight > 0 || config_.admission_queue_limit > 0;
   while (true) {
     auto msg = endpoint_->recv();
     if (!msg.ok()) break;  // endpoint closed
     const sim::TimePoint received_at = sim::now();
     if (config_.async_processing) {
-      if (admission_on) {
+      if (counts_inflight_) {
         if (!admit(msg.value())) continue;  // shed with kBusy
         inflight_.fetch_add(1, kRelaxed);
       }
@@ -298,23 +299,18 @@ bool MemcachedServer::admit(const net::Message& request) {
 
 void MemcachedServer::worker_main(std::size_t worker_index) {
   WorkerMetrics& metrics = metrics_[1 + worker_index];
-  const bool admission_on =
-      config_.max_inflight > 0 || config_.admission_queue_limit > 0;
   while (auto buffered = buffered_.pop()) {
-    const bool replied = handle(buffered->msg, metrics,
-                                RequestContext{buffered->received_at, sim::now()});
-    // A deferred request stays admitted until its reply is out.
-    if (replied && admission_on) inflight_.fetch_sub(1, kRelaxed);
+    handle(buffered->msg, metrics,
+           RequestContext{buffered->received_at, sim::now()});
   }
 }
 
 void MemcachedServer::completion_main() {
-  const bool admission_on =
-      config_.max_inflight > 0 || config_.admission_queue_limit > 0;
-  while (auto get = deferred_.pop()) {
-    finish_deferred(*get);
-    if (admission_on) inflight_.fetch_sub(1, kRelaxed);
-  }
+  while (auto get = deferred_.pop()) finish_deferred(*get);
+}
+
+void MemcachedServer::release_slot() {
+  if (counts_inflight_) inflight_.fetch_sub(1, kRelaxed);
 }
 
 void MemcachedServer::finish_deferred(DeferredGet& get) {
@@ -419,7 +415,7 @@ MemcachedServer::OpResult MemcachedServer::execute_op(
   return result;
 }
 
-bool MemcachedServer::handle(const net::Message& request,
+void MemcachedServer::handle(const net::Message& request,
                              WorkerMetrics& metrics,
                              const RequestContext& ctx) {
   const RequestFrame frame = open_frame(request);
@@ -450,9 +446,10 @@ bool MemcachedServer::handle(const net::Message& request,
   if (frame.deadline_ns != 0 &&
       sim::now().time_since_epoch().count() > frame.deadline_ns) {
     metrics.add(&ServerCounters::expired_on_arrival, ops.size());
+    release_slot();
     reply_all(request, frame, StatusCode::kBusy);
     record_stages(timeline.stages);
-    return true;
+    return;
   }
 
   // Store phase: each op runs through the same dispatch, whatever the frame
@@ -486,14 +483,13 @@ bool MemcachedServer::handle(const net::Message& request,
                                  .opcode = ops[i].opcode,
                                  .timeline = timeline,
                                  .outcome = outcome});
-      return false;
+      return;
     }
     reply.add(ops[i].wr_id, result.status, result.flags,
               result.has_value ? std::span<const char>(value)
                                : std::span<const char>{});
   }
   respond(request.src, request.wr_id, reply, timeline, outcomes);
-  return true;
 }
 
 void MemcachedServer::respond(net::EndpointId dst, std::uint64_t wr_id,
@@ -507,6 +503,7 @@ void MemcachedServer::respond(net::EndpointId dst, std::uint64_t wr_id,
   HYKV_DEBUG("server %llu handled wr=%llu ops=%zu",
              static_cast<unsigned long long>(endpoint_->id()),
              static_cast<unsigned long long>(wr_id), outcomes.size());
+  release_slot();
   endpoint_->send(dst, reply.opcode(), wr_id, reply.payload());
   if (!observing) return;
 

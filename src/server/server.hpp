@@ -257,9 +257,8 @@ class MemcachedServer {
   void completion_main();
   /// The one request handler, for either frame shape (protocol.hpp): counts
   /// the frame's ops, checks its deadline once, executes each op and sends
-  /// one reply (DESIGN.md §12). Returns false when it left the reply to a
-  /// completion thread instead.
-  bool handle(const net::Message& request, WorkerMetrics& metrics,
+  /// one reply (DESIGN.md §12), or leaves it to a completion thread.
+  void handle(const net::Message& request, WorkerMetrics& metrics,
               const RequestContext& ctx);
   /// Decodes one op and runs it against the store. A GET or GETS given
   /// `deferred` may leave its SSD read there and answer kInProgress.
@@ -269,7 +268,7 @@ class MemcachedServer {
   /// Finishes a deferred GET's SSD read and sends its reply.
   void finish_deferred(DeferredGet& get);
   /// Sends a frame's reply, then records its spans, its ops' latencies and
-  /// its sampled traces.
+  /// its sampled traces. The frame's admission slot is released first.
   void respond(net::EndpointId dst, std::uint64_t wr_id,
                const ReplyWriter& reply, Timeline& timeline,
                std::span<const OpOutcome> outcomes);
@@ -281,6 +280,10 @@ class MemcachedServer {
   /// Admission check for one arriving request (async mode, admission on).
   /// Returns false after shedding it with a cheap kBusy response.
   bool admit(const net::Message& request);
+  /// Frees an admitted request's slot in the admission window. Called just
+  /// before its reply is sent: once the client has the reply, its next
+  /// request must not find the slot still taken.
+  void release_slot();
 
   net::Fabric& fabric_;
   ServerConfig config_;
@@ -291,6 +294,9 @@ class MemcachedServer {
   std::unique_ptr<metrics::LatencyRecorder> recorder_;  ///< null = off
   std::unique_ptr<metrics::OpTracer> tracer_;           ///< null = off
   store::ShardedManager manager_;
+  /// Async mode with admission on: every admitted request holds one
+  /// inflight_ slot until its reply is sent.
+  const bool counts_inflight_;
 
   BlockingQueue<BufferedRequest> buffered_;  ///< Async mode slot pool.
   /// Async mode: GETs the workers deferred. Unbounded: each entry is an

@@ -47,18 +47,22 @@ void SsdDevice::occupy(sim::Nanos cost) {
   stats_.busy_ns += static_cast<std::uint64_t>(cost.count());
 }
 
-void SsdDevice::occupy_write(std::size_t bytes) {
-  occupy(profile_.write_time(bytes));
+sim::Nanos SsdDevice::occupy_write(std::size_t bytes) {
+  const sim::Nanos cost = profile_.write_time(bytes);
+  occupy(cost);
   const MutexLock lock(meta_mu_);
   ++stats_.writes;
   stats_.written_bytes += bytes;
+  return cost;
 }
 
-void SsdDevice::occupy_read(std::size_t bytes) {
-  occupy(profile_.read_time(bytes));
+sim::Nanos SsdDevice::occupy_read(std::size_t bytes) {
+  const sim::Nanos cost = profile_.read_time(bytes);
+  occupy(cost);
   const MutexLock lock(meta_mu_);
   ++stats_.reads;
   stats_.read_bytes += bytes;
+  return cost;
 }
 
 StatusCode SsdDevice::write_raw(ExtentId id, std::size_t offset,
@@ -122,37 +126,40 @@ bool SsdDevice::failed() const {
   return failed_;
 }
 
-StatusCode SsdDevice::write(ExtentId id, std::size_t offset,
-                            std::span<const char> data) {
+IoResult SsdDevice::write(ExtentId id, std::size_t offset,
+                          std::span<const char> data) {
   if (inject_error()) {
     // The failed attempt still occupied the bus/channel before the
     // controller reported the error.
-    occupy(profile_.write_time(data.size()));
-    return StatusCode::kIoError;
+    const sim::Nanos cost = profile_.write_time(data.size());
+    occupy(cost);
+    return {StatusCode::kIoError, cost};
   }
   // Validate + copy first (host-side), then occupy the device for the
   // modelled duration. Ordering is unobservable to callers because write()
   // returns only after both.
   const StatusCode code = write_raw(id, offset, data);
-  if (!ok(code)) return code;
+  if (!ok(code)) return {code, sim::Nanos{0}};
   // Synchronous direct write: device time plus the flush barrier that makes
   // it durable before returning (O_DIRECT|O_SYNC semantics).
-  occupy(profile_.write_time(data.size()) + profile_.sync_barrier);
+  const sim::Nanos cost = profile_.write_time(data.size()) + profile_.sync_barrier;
+  occupy(cost);
   {
     const MutexLock lock(meta_mu_);
     ++stats_.writes;
     stats_.written_bytes += data.size();
   }
-  return StatusCode::kOk;
+  return {StatusCode::kOk, cost};
 }
 
-StatusCode SsdDevice::read(ExtentId id, std::size_t offset, std::span<char> out) {
+IoResult SsdDevice::read(ExtentId id, std::size_t offset, std::span<char> out) {
   if (inject_error()) {
-    occupy(profile_.read_time(out.size()));
-    return StatusCode::kIoError;
+    const sim::Nanos cost = profile_.read_time(out.size());
+    occupy(cost);
+    return {StatusCode::kIoError, cost};
   }
-  occupy_read(out.size());
-  return read_raw(id, offset, out);
+  const sim::Nanos cost = occupy_read(out.size());
+  return {read_raw(id, offset, out), cost};
 }
 
 std::size_t SsdDevice::used_bytes() const {

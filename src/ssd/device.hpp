@@ -51,6 +51,14 @@ struct DeviceStats {
   HYKV_COUNTER_FIELDS(DeviceStats, HYKV_DEVICE_STATS_FIELDS)
 };
 
+/// One storage access's status and the modelled ns it charged on the calling
+/// thread: host copy, syscall, page-touch and map-setup costs plus device
+/// occupancy, without channel queueing or write-back throttling.
+struct IoResult {
+  StatusCode status = StatusCode::kOk;
+  sim::Nanos charged{0};
+};
+
 class SsdDevice {
  public:
   explicit SsdDevice(SsdProfile profile);
@@ -68,10 +76,10 @@ class SsdDevice {
 
   /// Writes `data` at `offset` within the extent, paying full device write
   /// latency for data.size() bytes (direct-I/O semantics).
-  StatusCode write(ExtentId id, std::size_t offset, std::span<const char> data);
+  IoResult write(ExtentId id, std::size_t offset, std::span<const char> data);
 
   /// Reads `out.size()` bytes at `offset`, paying full device read latency.
-  StatusCode read(ExtentId id, std::size_t offset, std::span<char> out);
+  IoResult read(ExtentId id, std::size_t offset, std::span<char> out);
 
   /// Data movement without modelled latency -- used by the page cache, which
   /// models its own host-side costs and pays device latency at write-back.
@@ -80,9 +88,9 @@ class SsdDevice {
 
   /// Occupies a device channel for the modelled duration of a `bytes`-sized
   /// access without touching data (used for write-back of already-copied
-  /// buffers and for queueing-only accounting).
-  void occupy_write(std::size_t bytes);
-  void occupy_read(std::size_t bytes);
+  /// buffers and for queueing-only accounting). Returns the modelled time.
+  sim::Nanos occupy_write(std::size_t bytes);
+  sim::Nanos occupy_read(std::size_t bytes);
 
   /// Installs (or clears, with a zero-rate profile) transient-error
   /// injection. The modelled write()/read() paths draw implicitly; the raw

@@ -1,128 +1,61 @@
-// I/O schemes for flushing evicted key-value data to the SSD and loading it
-// back (Section V-B2 / Fig. 4 of the paper):
-//   - DirectIo : O_DIRECT-style synchronous device access, the scheme the
-//                existing H-RDMA-Def design uses for every size;
-//   - CachedIo : write(2) through the page cache with asynchronous
-//                write-back -- wins for large data sizes;
-//   - MmapIo   : memory-mapped store/load -- wins for small data sizes.
-//
-// The adaptive slab manager (store/) picks a scheme per slab class.
+// The storage stack one hybrid Memcached server owns: a device, its page
+// cache, and the one write and one read through which the store flushes
+// evicted key-value data to the SSD and loads it back under each of the
+// paper's three I/O schemes (Section V-B2 / Fig. 4):
+//   - kDirect : O_DIRECT-style synchronous device access, the scheme the
+//               existing H-RDMA-Def design uses for every size;
+//   - kCached : write(2)/read(2) through the page cache with asynchronous
+//               write-back -- wins for large data sizes;
+//   - kMmap   : loads and stores into a mapping of the page cache -- wins
+//               for small data sizes.
+// All three move real bytes; they differ only in which modelled costs they
+// pay and when. The adaptive slab manager (store/) picks a scheme per slab
+// class.
 #pragma once
 
-#include <memory>
 #include <span>
-#include <string_view>
 
-#include "common/status.hpp"
 #include "ssd/device.hpp"
 #include "ssd/page_cache.hpp"
 
 namespace hykv::ssd {
 
-enum class IoScheme : std::uint8_t { kDirect = 0, kCached, kMmap };
-
-constexpr std::string_view to_string(IoScheme scheme) noexcept {
-  switch (scheme) {
-    case IoScheme::kDirect: return "direct";
-    case IoScheme::kCached: return "cached";
-    case IoScheme::kMmap: return "mmap";
-  }
-  return "?";
-}
-
-/// Uniform interface over the three schemes. All implementations move real
-/// bytes; they differ only in which modelled costs they pay and when.
-class IoEngine {
- public:
-  virtual ~IoEngine() = default;
-  virtual StatusCode write(ExtentId id, std::size_t offset,
-                           std::span<const char> data) = 0;
-  virtual StatusCode read(ExtentId id, std::size_t offset,
-                          std::span<char> out) = 0;
-  /// Blocks until previously written data is durable on the device.
-  virtual void sync() = 0;
-  [[nodiscard]] virtual IoScheme scheme() const noexcept = 0;
-};
-
-class DirectIo final : public IoEngine {
- public:
-  explicit DirectIo(SsdDevice& device) : device_(device) {}
-  StatusCode write(ExtentId id, std::size_t offset,
-                   std::span<const char> data) override {
-    return device_.write(id, offset, data);
-  }
-  StatusCode read(ExtentId id, std::size_t offset, std::span<char> out) override {
-    return device_.read(id, offset, out);
-  }
-  void sync() override {}  // direct writes are already durable
-  [[nodiscard]] IoScheme scheme() const noexcept override { return IoScheme::kDirect; }
-
- private:
-  SsdDevice& device_;
-};
-
-class CachedIo final : public IoEngine {
- public:
-  explicit CachedIo(PageCache& cache) : cache_(cache) {}
-  StatusCode write(ExtentId id, std::size_t offset,
-                   std::span<const char> data) override {
-    return cache_.write(id, offset, data);
-  }
-  StatusCode read(ExtentId id, std::size_t offset, std::span<char> out) override {
-    return cache_.read(id, offset, out);
-  }
-  void sync() override { cache_.sync(); }
-  [[nodiscard]] IoScheme scheme() const noexcept override { return IoScheme::kCached; }
-
- private:
-  PageCache& cache_;
-};
-
-class MmapIo final : public IoEngine {
- public:
-  explicit MmapIo(PageCache& cache) : cache_(cache) {}
-  StatusCode write(ExtentId id, std::size_t offset,
-                   std::span<const char> data) override {
-    return cache_.mmap_write(id, offset, data);
-  }
-  StatusCode read(ExtentId id, std::size_t offset, std::span<char> out) override {
-    return cache_.mmap_read(id, offset, out);
-  }
-  void sync() override { cache_.sync(); }
-  [[nodiscard]] IoScheme scheme() const noexcept override { return IoScheme::kMmap; }
-
- private:
-  PageCache& cache_;
-};
-
-/// Bundles a device, its page cache and one engine of each scheme -- the
-/// storage stack one hybrid Memcached server owns.
 class StorageStack {
  public:
   StorageStack(SsdProfile profile, PageCacheConfig cache_config)
-      : device_(std::move(profile)),
-        cache_(device_, cache_config),
-        direct_(device_),
-        cached_(cache_),
-        mmap_(cache_) {}
+      : device_(std::move(profile)), cache_(device_, cache_config) {}
 
   [[nodiscard]] SsdDevice& device() noexcept { return device_; }
   [[nodiscard]] PageCache& cache() noexcept { return cache_; }
-  [[nodiscard]] IoEngine& engine(IoScheme scheme) noexcept {
-    switch (scheme) {
-      case IoScheme::kDirect: return direct_;
-      case IoScheme::kCached: return cached_;
-      case IoScheme::kMmap: return mmap_;
-    }
-    return direct_;
+
+  /// Writes `data` at `offset` of extent `id`. kDirect returns once the
+  /// device holds the bytes durably; kCached and kMmap leave them dirty in
+  /// the page cache for write-back (PageCache::sync drains it).
+  IoResult write(IoScheme scheme, ExtentId id, std::size_t offset,
+                 std::span<const char> data) {
+    if (scheme != IoScheme::kDirect) return cache_.write(scheme, id, offset, data);
+    return device_.write(id, offset, data);
+  }
+
+  /// Reads `out.size()` bytes at `offset` of extent `id`. A kDirect read is
+  /// H-RDMA-Def's slab-granular swap-in (Ouyang'12): fetching one item
+  /// streams in the rest of its extent too -- on average half a slab of read
+  /// amplification, charged as a second device read. The page-cache schemes
+  /// read item-granular instead, a large part of this paper's win on the
+  /// GET path.
+  IoResult read(IoScheme scheme, ExtentId id, std::size_t offset,
+                std::span<char> out) {
+    if (scheme != IoScheme::kDirect) return cache_.read(scheme, id, offset, out);
+    IoResult result = device_.read(id, offset, out);
+    const std::size_t end = offset + out.size();
+    const std::size_t extent_bytes = device_.extent_size(id);
+    if (extent_bytes > end) result.charged += device_.occupy_read(extent_bytes - end);
+    return result;
   }
 
  private:
   SsdDevice device_;
   PageCache cache_;
-  DirectIo direct_;
-  CachedIo cached_;
-  MmapIo mmap_;
 };
 
 }  // namespace hykv::ssd

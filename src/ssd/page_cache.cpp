@@ -51,39 +51,32 @@ void PageCache::make_room_locked(std::size_t need) {
   }
 }
 
-void PageCache::charge_write_path(std::size_t offset, std::span<const char> data,
-                                  ExtentId id, bool via_mmap) {
-  const auto& host = config_.host;
+IoResult PageCache::write(IoScheme mode, ExtentId id, std::size_t offset,
+                          std::span<const char> data) {
+  const HostIoProfile& host = config_.host;
+  const bool via_mmap = mode == IoScheme::kMmap;
   sim::Nanos cost = host.copy_time(data.size());
-  bool first_map = false;
   if (via_mmap) {
-    {
-      const MutexLock lock(mu_);
-      auto it = entries_.find(id);
-      first_map = (it == entries_.end() || !it->second.mmap_mapped);
-    }
     cost += host.page_touch * static_cast<std::int64_t>(host.pages(data.size()));
-    if (first_map) cost += host.mmap_setup;
+    const MutexLock lock(mu_);
+    const auto it = entries_.find(id);
+    if (it == entries_.end() || !it->second.mmap_mapped) cost += host.mmap_setup;
   } else {
     cost += host.syscall_overhead;
   }
-  (void)offset;
   sim::advance(cost);
-}
-
-StatusCode PageCache::write(ExtentId id, std::size_t offset,
-                            std::span<const char> data) {
-  charge_write_path(offset, data, id, /*via_mmap=*/false);
-  // Transient device errors surface to the writer (EIO from write(2) once
-  // the kernel knows the device is erroring) -- the hook that lets the
-  // hybrid manager's flush path observe SSD outages through this engine.
-  if (const StatusCode fault = device_.check_fault(); !ok(fault)) return fault;
+  // Transient device errors surface to the writer -- EIO from write(2) once
+  // the kernel knows the device is erroring, SIGBUS from a store into a
+  // failing mapping -- the hook that lets the hybrid manager's flush path
+  // observe SSD outages (degraded mode).
+  if (const StatusCode fault = device_.check_fault(); !ok(fault)) return {fault, cost};
   const StatusCode code = device_.write_raw(id, offset, data);
-  if (!ok(code)) return code;
+  if (!ok(code)) return {code, cost};
 
   const MutexLock lock(mu_);
   Entry& entry = entries_[id];
   entry.size = device_.extent_size(id);
+  if (via_mmap) entry.mmap_mapped = true;
   if (offset == 0 && data.size() == entry.size && !entry.resident) {
     entry.resident = true;
     resident_bytes_ += entry.size;
@@ -104,123 +97,52 @@ StatusCode PageCache::write(ExtentId id, std::size_t offset,
     stats_.throttled_ns +=
         static_cast<std::uint64_t>((sim::now() - start).count());
   }
-  return StatusCode::kOk;
+  return {StatusCode::kOk, cost};
 }
 
-StatusCode PageCache::mmap_write(ExtentId id, std::size_t offset,
-                                 std::span<const char> data) {
-  charge_write_path(offset, data, id, /*via_mmap=*/true);
-  // A store into a failing mapping raises SIGBUS in reality; modelled as a
-  // clean kIoError so flush_batch can react (degraded mode).
-  if (const StatusCode fault = device_.check_fault(); !ok(fault)) return fault;
-  const StatusCode code = device_.write_raw(id, offset, data);
-  if (!ok(code)) return code;
-
-  const MutexLock lock(mu_);
-  Entry& entry = entries_[id];
-  entry.size = device_.extent_size(id);
-  entry.mmap_mapped = true;
-  if (offset == 0 && data.size() == entry.size && !entry.resident) {
-    entry.resident = true;
-    resident_bytes_ += entry.size;
-  }
-  if (entry.resident) touch_lru_locked(id, entry);
-  const bool was_clean = entry.dirty == 0;
-  entry.dirty += data.size();
-  dirty_bytes_ += data.size();
-  if (was_clean) dirty_fifo_.push_back(id);
-  make_room_locked(0);
-  dirty_cv_.notify_one();
-
-  if (dirty_bytes_ > config_.dirty_high_watermark) {
-    const auto start = sim::now();
-    clean_cv_.wait(mu_, [&]() REQUIRES(mu_) {
-      return stop_ || dirty_bytes_ <= config_.dirty_low_watermark;
-    });
-    stats_.throttled_ns +=
-        static_cast<std::uint64_t>((sim::now() - start).count());
-  }
-  return StatusCode::kOk;
-}
-
-StatusCode PageCache::read(ExtentId id, std::size_t offset, std::span<char> out) {
+IoResult PageCache::read(IoScheme mode, ExtentId id, std::size_t offset,
+                         std::span<char> out) {
+  const bool via_mmap = mode == IoScheme::kMmap;
+  sim::Nanos cost = via_mmap ? sim::Nanos{0} : config_.host.syscall_overhead;
   bool hit;
   {
     const MutexLock lock(mu_);
     auto it = entries_.find(id);
     hit = it != entries_.end() && it->second.resident;
+    if (via_mmap && (it == entries_.end() || !it->second.mmap_mapped)) {
+      cost += config_.host.mmap_setup;
+    }
     if (hit) {
       touch_lru_locked(id, it->second);
+      if (via_mmap) it->second.mmap_mapped = true;
       ++stats_.hits;
     } else {
       ++stats_.misses;
     }
   }
   if (hit) {
-    sim::advance(config_.host.syscall_overhead + config_.host.copy_time(out.size()));
-    return device_.read_raw(id, offset, out);
+    cost += config_.host.copy_time(out.size());
+    sim::advance(cost);
+    return {device_.read_raw(id, offset, out), cost};
   }
-  sim::advance(config_.host.syscall_overhead);
-  // Cache miss: a real device read -- transient errors apply (hits above are
-  // served from RAM and cannot fail).
-  if (const StatusCode fault = device_.check_fault(); !ok(fault)) return fault;
-  device_.occupy_read(out.size());
+  sim::advance(cost);
+  // Cache miss (a major fault under mmap): a real device read -- transient
+  // errors apply (hits above are served from RAM and cannot fail).
+  if (const StatusCode fault = device_.check_fault(); !ok(fault)) return {fault, cost};
+  cost += device_.occupy_read(out.size());
   const StatusCode code = device_.read_raw(id, offset, out);
-  if (!ok(code)) return code;
+  if (!ok(code)) return {code, cost};
   const MutexLock lock(mu_);
   Entry& entry = entries_[id];
   entry.size = device_.extent_size(id);
+  if (via_mmap) entry.mmap_mapped = true;
   if (offset == 0 && out.size() == entry.size && !entry.resident) {
     entry.resident = true;
     resident_bytes_ += entry.size;
     touch_lru_locked(id, entry);
     make_room_locked(0);
   }
-  return StatusCode::kOk;
-}
-
-StatusCode PageCache::mmap_read(ExtentId id, std::size_t offset,
-                                std::span<char> out) {
-  bool hit;
-  bool first_map;
-  {
-    const MutexLock lock(mu_);
-    auto it = entries_.find(id);
-    hit = it != entries_.end() && it->second.resident;
-    first_map = it == entries_.end() || !it->second.mmap_mapped;
-    if (hit) {
-      touch_lru_locked(id, it->second);
-      ++stats_.hits;
-    } else {
-      ++stats_.misses;
-    }
-  }
-  if (hit) {
-    sim::advance(config_.host.copy_time(out.size()) +
-                 (first_map ? config_.host.mmap_setup : sim::Nanos{0}));
-    {
-      const MutexLock relock(mu_);
-      entries_[id].mmap_mapped = true;
-    }
-    return device_.read_raw(id, offset, out);
-  }
-  // Major fault: device read for the touched pages.
-  if (first_map) sim::advance(config_.host.mmap_setup);
-  if (const StatusCode fault = device_.check_fault(); !ok(fault)) return fault;
-  device_.occupy_read(out.size());
-  const StatusCode code = device_.read_raw(id, offset, out);
-  if (!ok(code)) return code;
-  const MutexLock lock(mu_);
-  Entry& entry = entries_[id];
-  entry.size = device_.extent_size(id);
-  entry.mmap_mapped = true;
-  if (offset == 0 && out.size() == entry.size && !entry.resident) {
-    entry.resident = true;
-    resident_bytes_ += entry.size;
-    touch_lru_locked(id, entry);
-    make_room_locked(0);
-  }
-  return StatusCode::kOk;
+  return {StatusCode::kOk, cost};
 }
 
 void PageCache::invalidate(ExtentId id) {

@@ -1,11 +1,13 @@
 // Simulated OS page cache with asynchronous write-back.
 //
-// The cached-I/O and mmap-I/O engines route through this component: writes
-// pay only host-side costs (copy / page-touch) and become *dirty* bytes that
-// a background flusher later writes to the device, exactly like Linux
-// write-back. Writers throttle when dirty bytes exceed a high watermark
-// (Linux dirty_ratio behaviour) so sustained overload still observes device
-// speed -- this is what bounds the cached-I/O advantage in Fig. 4 / Fig. 7c.
+// Cached I/O (write(2)/read(2)) and mmap I/O both go through this
+// component's one write and one read; the access mode picks only the host
+// cost an access pays. Writes pay host-side costs alone and become *dirty*
+// bytes that a background flusher later writes to the device, exactly like
+// Linux write-back. Writers throttle when dirty bytes exceed a high
+// watermark (Linux dirty_ratio behaviour) so sustained overload still
+// observes device speed -- this is what bounds the cached-I/O advantage in
+// Fig. 4 / Fig. 7c.
 //
 // Residency granularity is the extent. The hybrid slab manager always writes
 // whole extents (one per flushed slab or item run), so per-extent residency
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <list>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -27,6 +30,19 @@
 #include "ssd/device.hpp"
 
 namespace hykv::ssd {
+
+/// The paper's three I/O schemes for flushing evicted data and loading it
+/// back (Section V-B2 / Fig. 4); StorageStack (io_engine.hpp) runs each.
+enum class IoScheme : std::uint8_t { kDirect = 0, kCached, kMmap };
+
+constexpr std::string_view to_string(IoScheme scheme) noexcept {
+  switch (scheme) {
+    case IoScheme::kDirect: return "direct";
+    case IoScheme::kCached: return "cached";
+    case IoScheme::kMmap: return "mmap";
+  }
+  return "?";
+}
 
 struct PageCacheConfig {
   std::size_t dirty_high_watermark = std::size_t{32} << 20;
@@ -51,25 +67,18 @@ class PageCache {
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
 
-  /// write(2)-style cached write: syscall overhead + copy cost, dirty bytes
-  /// queued for write-back, throttles above the high watermark.
-  StatusCode write(ExtentId id, std::size_t offset, std::span<const char> data)
-      EXCLUDES(mu_);
+  /// Cached (`mode` kCached, write(2)) or mapped (kMmap) store: copy cost
+  /// plus the syscall, or plus a touch per page and the extent's one-time
+  /// map setup. The bytes become dirty, queue for write-back and throttle
+  /// the writer above the high watermark.
+  IoResult write(IoScheme mode, ExtentId id, std::size_t offset,
+                 std::span<const char> data) EXCLUDES(mu_);
 
-  /// Cached read: residency hit costs host copy; miss pays a device read and
-  /// populates the cache.
-  StatusCode read(ExtentId id, std::size_t offset, std::span<char> out)
-      EXCLUDES(mu_);
-
-  /// mmap-style store: no syscall, per-page touch cost + copy; dirty pages
-  /// enter the same write-back pipeline.
-  StatusCode mmap_write(ExtentId id, std::size_t offset,
-                        std::span<const char> data) EXCLUDES(mu_);
-
-  /// mmap-style load: resident -> copy cost; non-resident -> major fault
-  /// (device read) + populate.
-  StatusCode mmap_read(ExtentId id, std::size_t offset, std::span<char> out)
-      EXCLUDES(mu_);
+  /// Cached (read(2)) or mapped load: a resident extent costs the copy; a
+  /// miss (a major fault for kMmap) pays a device read and populates the
+  /// cache. kCached adds the syscall either way, kMmap the first-map setup.
+  IoResult read(IoScheme mode, ExtentId id, std::size_t offset,
+                std::span<char> out) EXCLUDES(mu_);
 
   /// Drops cache state for a freed extent (dirty data is discarded -- caller
   /// owns the decision, mirroring unlink() of a dirty file).
@@ -94,8 +103,6 @@ class PageCache {
   };
 
   void flusher_main() EXCLUDES(mu_);
-  void charge_write_path(std::size_t offset, std::span<const char> data,
-                         ExtentId id, bool via_mmap) EXCLUDES(mu_);
   void make_room_locked(std::size_t need) REQUIRES(mu_);
   void touch_lru_locked(ExtentId id, Entry& entry) REQUIRES(mu_);
 

@@ -277,8 +277,7 @@ bool HybridSlabManager::do_flush_batch(unsigned cls) {
 
   // 4. Write outside the lock; readers of these records wait on ready.
   mu_.unlock();
-  const StatusCode code =
-      storage_->engine(scheme).write(handle->id, 0, staging);
+  const StatusCode code = storage_->write(scheme, handle->id, 0, staging).status;
   if (!ok(code)) {
     HYKV_ERROR("flush write failed: %.*s",
                static_cast<int>(status_name(code).size()), status_name(code).data());
@@ -632,20 +631,8 @@ StatusCode HybridSlabManager::read_ssd(std::string_view key,
   const std::size_t value_offset = record->record_offset +
                                    SsdItemFraming::kHeaderBytes +
                                    record->key_len;
-  const StatusCode code = storage_->engine(record->scheme)
-                              .read(record->extent->id, value_offset, out);
-  if (record->scheme == ssd::IoScheme::kDirect) {
-    // H-RDMA-Def swap-in reads the slab from the item's offset onward
-    // (Ouyang'12 slab-granular layout): fetching one item streams in the
-    // rest of its flushed slab -- on average half a slab of read
-    // amplification. The adaptive designs read item-granular through their
-    // page-cache-backed engines instead, a large part of this paper's win
-    // on the Get path.
-    const std::size_t read_total = record->extent->bytes - record->record_offset;
-    if (read_total > out.size()) {
-      storage_->device().occupy_read(read_total - out.size());
-    }
-  }
+  const StatusCode code =
+      storage_->read(record->scheme, record->extent->id, value_offset, out).status;
   flags = record->flags;
   // The pinned record's CAS is that of the bytes just read, even if a writer
   // replaced the key while the lock was dropped.

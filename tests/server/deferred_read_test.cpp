@@ -1,7 +1,8 @@
 // Deferred SSD reads on the async server (DESIGN.md §13): a plain GET whose
 // key sits on the SSD leaves its flash read to a completion thread, so the
-// worker moves on. These tests hold the single SATA channel from a helper
-// thread, which keeps every deferred read pending for as long as they need.
+// worker moves on. Most of these tests hold the single SATA channel from a
+// helper thread, which keeps every deferred read pending for as long as they
+// need.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -43,13 +44,8 @@ class Rig {
   void fill(std::uint64_t from, std::uint64_t to) {
     const sim::ScopedTimeScale instant(0.0);
     for (std::uint64_t k = from; k < to; ++k) {
-      // With max_inflight = 1 a set can race the release of the previous
-      // set's slot, which happens just after its reply is sent.
-      StatusCode code = StatusCode::kBusy;
-      while (code == StatusCode::kBusy) {
-        code = client_->set(make_key(k), make_value(k, kValueBytes));
-      }
-      ASSERT_EQ(code, StatusCode::kOk);
+      ASSERT_EQ(client_->set(make_key(k), make_value(k, kValueBytes)),
+                StatusCode::kOk);
     }
     server_.manager().sync_storage();
   }
@@ -232,6 +228,29 @@ TEST_F(DeferredReadTest, DeferredGetHoldsItsAdmissionSlotUntilItsReplyIsSent) {
   }
   ASSERT_EQ(code, StatusCode::kOk);
   EXPECT_EQ(out, make_value(kKeys - 1, kValueBytes));
+}
+
+TEST_F(DeferredReadTest, ClosedLoopClientAtOneInflightIsNeverShed) {
+  // One blocking client without retries or a deadline sends its next request
+  // only after the previous reply arrived. The server frees a request's slot
+  // before it sends the reply, on the worker and on the completion path, so
+  // at max_inflight = 1 no request of this client may find the slot taken.
+  Rig rig(/*max_inflight=*/1);
+  const sim::ScopedTimeScale instant(0.0);
+  constexpr std::uint64_t kRounds = 1200;  // one set and one get per round
+  std::vector<char> out;
+  for (std::uint64_t k = 0; k < kRounds; ++k) {
+    ASSERT_EQ(rig.client().set(make_key(k), make_value(k, kValueBytes)),
+              StatusCode::kOk)
+        << k;
+    // Every other GET reads the key set kKeys rounds ago: it sits on the
+    // SSD by then, so a completion thread sends that reply.
+    const std::uint64_t key = k % 2 == 1 && k >= kKeys ? k - kKeys : k;
+    ASSERT_EQ(rig.client().get(make_key(key), out), StatusCode::kOk) << key;
+    ASSERT_EQ(out, make_value(key, kValueBytes)) << key;
+  }
+  EXPECT_EQ(rig.server().counters().shed, 0u);
+  EXPECT_GT(rig.server().store_stats().ssd_hits, 0u);
 }
 
 }  // namespace

@@ -31,9 +31,9 @@ TEST_F(SsdDeviceTest, WriteReadRoundTrip) {
   const auto id = dev.allocate(4096);
   ASSERT_TRUE(id.ok());
   const auto payload = make_value(1, 4096);
-  ASSERT_EQ(dev.write(id.value(), 0, payload), StatusCode::kOk);
+  ASSERT_EQ(dev.write(id.value(), 0, payload).status, StatusCode::kOk);
   std::vector<char> out(4096);
-  ASSERT_EQ(dev.read(id.value(), 0, out), StatusCode::kOk);
+  ASSERT_EQ(dev.read(id.value(), 0, out).status, StatusCode::kOk);
   EXPECT_EQ(out, payload);
 }
 
@@ -42,12 +42,12 @@ TEST_F(SsdDeviceTest, OffsetWithinExtent) {
   const auto id = dev.allocate(8192).value();
   const auto a = make_value(10, 1000);
   const auto b = make_value(11, 1000);
-  ASSERT_EQ(dev.write(id, 0, a), StatusCode::kOk);
-  ASSERT_EQ(dev.write(id, 4096, b), StatusCode::kOk);
+  ASSERT_EQ(dev.write(id, 0, a).status, StatusCode::kOk);
+  ASSERT_EQ(dev.write(id, 4096, b).status, StatusCode::kOk);
   std::vector<char> out(1000);
-  ASSERT_EQ(dev.read(id, 4096, out), StatusCode::kOk);
+  ASSERT_EQ(dev.read(id, 4096, out).status, StatusCode::kOk);
   EXPECT_EQ(out, b);
-  ASSERT_EQ(dev.read(id, 0, out), StatusCode::kOk);
+  ASSERT_EQ(dev.read(id, 0, out).status, StatusCode::kOk);
   EXPECT_EQ(out, a);
 }
 
@@ -55,10 +55,10 @@ TEST_F(SsdDeviceTest, OutOfRangeRejected) {
   SsdDevice dev(SsdProfile::sata());
   const auto id = dev.allocate(100).value();
   const auto payload = make_value(1, 64);
-  EXPECT_EQ(dev.write(id, 64, payload), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dev.write(id, 64, payload).status, StatusCode::kInvalidArgument);
   std::vector<char> out(64);
-  EXPECT_EQ(dev.read(id, 64, out), StatusCode::kInvalidArgument);
-  EXPECT_EQ(dev.write(id + 999, 0, payload), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dev.read(id, 64, out).status, StatusCode::kInvalidArgument);
+  EXPECT_EQ(dev.write(id + 999, 0, payload).status, StatusCode::kInvalidArgument);
 }
 
 TEST_F(SsdDeviceTest, CapacityEnforcedAndFreedSpaceReusable) {

@@ -1,6 +1,6 @@
 // Page-cache concurrency properties: many threads writing/reading disjoint
-// extents through cached and mmap engines while the flusher drains -- data
-// must come back intact and accounting must settle to zero dirty bytes.
+// extents through cached and mmap I/O while the flusher drains -- data must
+// come back intact and accounting must settle to zero dirty bytes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -47,22 +47,23 @@ TEST_F(PageCacheConcurrencyTest, ParallelWritersDisjointExtentsStayIntact) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Alternate engines per thread: cached and mmap share the cache.
-      IoEngine& engine = stack.engine(t % 2 == 0 ? IoScheme::kCached
-                                                 : IoScheme::kMmap);
+      // Alternate schemes per thread: cached and mmap share the cache.
+      const IoScheme scheme = t % 2 == 0 ? IoScheme::kCached : IoScheme::kMmap;
       const auto& mine = ids[static_cast<std::size_t>(t)];
       for (int i = 0; i < kExtentsPerThread; ++i) {
         const auto seed = static_cast<std::uint64_t>(t * 1000 + i);
-        if (!ok(engine.write(mine[static_cast<std::size_t>(i)], 0,
-                             make_value(seed, kBytes)))) {
+        if (!ok(stack.write(scheme, mine[static_cast<std::size_t>(i)], 0,
+                            make_value(seed, kBytes))
+                    .status)) {
           ++failures;
         }
       }
-      // Read everything back through the same engine.
+      // Read everything back through the same scheme.
       std::vector<char> out(kBytes);
       for (int i = 0; i < kExtentsPerThread; ++i) {
         const auto seed = static_cast<std::uint64_t>(t * 1000 + i);
-        if (!ok(engine.read(mine[static_cast<std::size_t>(i)], 0, out)) ||
+        if (!ok(stack.read(scheme, mine[static_cast<std::size_t>(i)], 0, out)
+                    .status) ||
             out != make_value(seed, kBytes)) {
           ++failures;
         }
@@ -101,9 +102,9 @@ TEST_F(PageCacheConcurrencyTest, InvalidateRacingWriteback) {
   // accounting must never underflow and sync must always terminate.
   for (int round = 0; round < 50; ++round) {
     const auto id = stack.device().allocate(128 << 10).value();
-    ASSERT_EQ(stack.cache().write(id, 0,
-                                  make_value(static_cast<std::uint64_t>(round),
-                                             128 << 10)),
+    ASSERT_EQ(stack.write(IoScheme::kCached, id, 0,
+                          make_value(static_cast<std::uint64_t>(round), 128 << 10))
+                  .status,
               StatusCode::kOk);
     if (round % 2 == 0) {
       stack.cache().invalidate(id);

@@ -32,10 +32,10 @@ TEST_F(PageCacheTest, WriteThenReadHitsCache) {
   PageCache cache(dev, small_config());
   const auto id = dev.allocate(8192).value();
   const auto payload = make_value(1, 8192);
-  ASSERT_EQ(cache.write(id, 0, payload), StatusCode::kOk);
+  ASSERT_EQ(cache.write(IoScheme::kCached, id, 0, payload).status, StatusCode::kOk);
   EXPECT_TRUE(cache.resident(id));
   std::vector<char> out(8192);
-  ASSERT_EQ(cache.read(id, 0, out), StatusCode::kOk);
+  ASSERT_EQ(cache.read(IoScheme::kCached, id, 0, out).status, StatusCode::kOk);
   EXPECT_EQ(out, payload);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 0u);
@@ -49,11 +49,11 @@ TEST_F(PageCacheTest, MissReadsDeviceAndPopulates) {
   ASSERT_EQ(dev.write_raw(id, 0, payload), StatusCode::kOk);  // bypass cache
   EXPECT_FALSE(cache.resident(id));
   std::vector<char> out(4096);
-  ASSERT_EQ(cache.read(id, 0, out), StatusCode::kOk);
+  ASSERT_EQ(cache.read(IoScheme::kCached, id, 0, out).status, StatusCode::kOk);
   EXPECT_EQ(out, payload);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_TRUE(cache.resident(id));  // full-extent read populates
-  ASSERT_EQ(cache.read(id, 0, out), StatusCode::kOk);
+  ASSERT_EQ(cache.read(IoScheme::kCached, id, 0, out).status, StatusCode::kOk);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -61,7 +61,8 @@ TEST_F(PageCacheTest, SyncDrainsDirtyBytes) {
   SsdDevice dev(SsdProfile::sata());
   PageCache cache(dev, small_config());
   const auto id = dev.allocate(64 << 10).value();
-  ASSERT_EQ(cache.write(id, 0, make_value(3, 64 << 10)), StatusCode::kOk);
+  ASSERT_EQ(cache.write(IoScheme::kCached, id, 0, make_value(3, 64 << 10)).status,
+            StatusCode::kOk);
   cache.sync();
   EXPECT_EQ(cache.dirty_bytes(), 0u);
   EXPECT_GE(cache.stats().writeback_bytes, std::uint64_t{64 << 10});
@@ -80,13 +81,12 @@ TEST_F(PageCacheTest, ThrottleEngagesAboveHighWatermark) {
   // on write-back until the low watermark.
   const auto payload = make_value(1, 128 << 10);
   const auto id = dev.allocate(payload.size()).value();
-  ASSERT_EQ(cache.write(id, 0, payload), StatusCode::kOk);
+  ASSERT_EQ(cache.write(IoScheme::kCached, id, 0, payload).status, StatusCode::kOk);
   EXPECT_GT(cache.stats().throttled_ns, 0u);
   EXPECT_LE(cache.dirty_bytes(), cfg.dirty_low_watermark);
 }
 
 TEST_F(PageCacheTest, CachedWriteIsFasterThanDirect) {
-  sim::set_time_scale(1.0);
   SsdDevice dev(SsdProfile::sata());
   PageCacheConfig cfg;
   cfg.dirty_high_watermark = 8 << 20;  // no throttling in this test
@@ -95,17 +95,16 @@ TEST_F(PageCacheTest, CachedWriteIsFasterThanDirect) {
   const auto payload = make_value(9, 256 << 10);
 
   const auto id1 = dev.allocate(256 << 10).value();
-  const auto t0 = sim::now();
-  ASSERT_EQ(cache.write(id1, 0, payload), StatusCode::kOk);
-  const auto cached_cost = sim::now() - t0;
+  const IoResult cached = cache.write(IoScheme::kCached, id1, 0, payload);
+  ASSERT_EQ(cached.status, StatusCode::kOk);
 
   const auto id2 = dev.allocate(256 << 10).value();
-  const auto t1 = sim::now();
-  ASSERT_EQ(dev.write(id2, 0, payload), StatusCode::kOk);
-  const auto direct_cost = sim::now() - t1;
+  const IoResult direct = dev.write(id2, 0, payload);
+  ASSERT_EQ(direct.status, StatusCode::kOk);
 
-  // 256KB: direct ~ 90us + 558us; cached ~ 4us + 31us copy.
-  EXPECT_LT(cached_cost * 3, direct_cost);
+  // Modelled cost, 256KB: direct ~ 90us + 558us + sync barrier; cached ~
+  // 4us + 31us copy.
+  EXPECT_LT(cached.charged * 3, direct.charged);
   cache.sync();
 }
 
@@ -113,7 +112,8 @@ TEST_F(PageCacheTest, InvalidateDiscardsDirtyData) {
   SsdDevice dev(SsdProfile::sata());
   PageCache cache(dev, small_config());
   const auto id = dev.allocate(16 << 10).value();
-  ASSERT_EQ(cache.write(id, 0, make_value(4, 16 << 10)), StatusCode::kOk);
+  ASSERT_EQ(cache.write(IoScheme::kCached, id, 0, make_value(4, 16 << 10)).status,
+            StatusCode::kOk);
   cache.invalidate(id);
   EXPECT_EQ(cache.dirty_bytes(), 0u);
   EXPECT_FALSE(cache.resident(id));
@@ -129,7 +129,9 @@ TEST_F(PageCacheTest, CleanEntriesEvictedUnderMemoryPressure) {
   for (int i = 0; i < 8; ++i) {
     const auto id = dev.allocate(64 << 10).value();
     ids.push_back(id);
-    ASSERT_EQ(cache.write(id, 0, make_value(static_cast<std::uint64_t>(i), 64 << 10)),
+    ASSERT_EQ(cache.write(IoScheme::kCached, id, 0,
+                          make_value(static_cast<std::uint64_t>(i), 64 << 10))
+                  .status,
               StatusCode::kOk);
     cache.sync();  // make the entry clean so it is evictable
   }
@@ -137,7 +139,8 @@ TEST_F(PageCacheTest, CleanEntriesEvictedUnderMemoryPressure) {
   // Earliest extent should have been evicted; data must still be readable
   // (from the device) and correct.
   std::vector<char> out(64 << 10);
-  ASSERT_EQ(cache.read(ids.front(), 0, out), StatusCode::kOk);
+  ASSERT_EQ(cache.read(IoScheme::kCached, ids.front(), 0, out).status,
+            StatusCode::kOk);
   EXPECT_EQ(out, make_value(0, 64 << 10));
 }
 
@@ -146,14 +149,13 @@ TEST_F(PageCacheTest, MmapWriteReadRoundTrip) {
   PageCache cache(dev, small_config());
   const auto id = dev.allocate(8192).value();
   const auto payload = make_value(5, 8192);
-  ASSERT_EQ(cache.mmap_write(id, 0, payload), StatusCode::kOk);
+  ASSERT_EQ(cache.write(IoScheme::kMmap, id, 0, payload).status, StatusCode::kOk);
   std::vector<char> out(8192);
-  ASSERT_EQ(cache.mmap_read(id, 0, out), StatusCode::kOk);
+  ASSERT_EQ(cache.read(IoScheme::kMmap, id, 0, out).status, StatusCode::kOk);
   EXPECT_EQ(out, payload);
 }
 
 TEST_F(PageCacheTest, MmapCheaperThanCachedForSmallWrites) {
-  sim::set_time_scale(1.0);
   SsdDevice dev(SsdProfile::sata());
   PageCacheConfig cfg;
   cfg.dirty_high_watermark = 8 << 20;
@@ -162,20 +164,22 @@ TEST_F(PageCacheTest, MmapCheaperThanCachedForSmallWrites) {
   const auto payload = make_value(6, 2048);
 
   const auto id1 = dev.allocate(2048).value();
-  ASSERT_EQ(cache.mmap_write(id1, 0, payload), StatusCode::kOk);  // map setup
+  ASSERT_EQ(cache.write(IoScheme::kMmap, id1, 0, payload).status,
+            StatusCode::kOk);  // map setup
   sim::Nanos mmap_total{0}, cached_total{0};
   for (int i = 0; i < 50; ++i) {
-    const auto t0 = sim::now();
-    ASSERT_EQ(cache.mmap_write(id1, 0, payload), StatusCode::kOk);
-    mmap_total += sim::now() - t0;
+    const IoResult result = cache.write(IoScheme::kMmap, id1, 0, payload);
+    ASSERT_EQ(result.status, StatusCode::kOk);
+    mmap_total += result.charged;
   }
   const auto id2 = dev.allocate(2048).value();
   for (int i = 0; i < 50; ++i) {
-    const auto t0 = sim::now();
-    ASSERT_EQ(cache.write(id2, 0, payload), StatusCode::kOk);
-    cached_total += sim::now() - t0;
+    const IoResult result = cache.write(IoScheme::kCached, id2, 0, payload);
+    ASSERT_EQ(result.status, StatusCode::kOk);
+    cached_total += result.charged;
   }
-  // 2KB: mmap ~ 0.35us page touch + 0.24us copy; cached ~ 4us syscall + copy.
+  // Modelled cost, 2KB: mmap ~ 0.35us page touch + 0.24us copy; cached ~
+  // 4us syscall + copy.
   EXPECT_LT(mmap_total, cached_total);
   cache.sync();
 }
@@ -184,7 +188,8 @@ TEST_F(PageCacheTest, PartialWriteDoesNotClaimResidency) {
   SsdDevice dev(SsdProfile::sata());
   PageCache cache(dev, small_config());
   const auto id = dev.allocate(8192).value();
-  ASSERT_EQ(cache.write(id, 0, make_value(7, 100)), StatusCode::kOk);
+  ASSERT_EQ(cache.write(IoScheme::kCached, id, 0, make_value(7, 100)).status,
+            StatusCode::kOk);
   EXPECT_FALSE(cache.resident(id));
 }
 

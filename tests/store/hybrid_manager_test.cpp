@@ -30,6 +30,35 @@ ManagerConfig base_config(StorageMode mode) {
   return cfg;
 }
 
+/// Where key `i`'s flushed record ([header][key][value]) sits on the device;
+/// `id` is kInvalidExtent when no extent holds it.
+struct RecordLocation {
+  ssd::ExtentId id = ssd::kInvalidExtent;
+  std::size_t record_offset = 0;
+  std::size_t value_offset = 0;
+  std::size_t extent_bytes = 0;
+};
+
+/// Finds key `i`'s record by its key+value bytes, behind the store's back.
+RecordLocation locate_record(ssd::StorageStack& storage, std::uint64_t i,
+                             std::size_t size) {
+  const std::string key = make_key(i);
+  std::vector<char> needle(key.begin(), key.end());
+  const std::vector<char> value = make_value(i, size);
+  needle.insert(needle.end(), value.begin(), value.end());
+  for (ssd::ExtentId id = 1;; ++id) {
+    const std::size_t bytes = storage.device().extent_size(id);
+    if (bytes == 0) return {};
+    std::vector<char> data(bytes);
+    if (storage.device().read_raw(id, 0, data) != StatusCode::kOk) return {};
+    const auto at = std::search(data.begin(), data.end(), needle.begin(), needle.end());
+    if (at == data.end()) continue;
+    const auto key_offset = static_cast<std::size_t>(at - data.begin());
+    return {id, key_offset - SsdItemFraming::kHeaderBytes, key_offset + key.size(),
+            bytes};
+  }
+}
+
 class HybridManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -156,30 +185,18 @@ TEST_F(HybridManagerTest, CorruptedSsdRecordFailsChecksum) {
   for (std::uint64_t i = 0; i < 120; ++i) ASSERT_EQ(set(m, i, kSize), StatusCode::kOk);
   m.sync_storage();
 
-  // Locate key 0's flushed record ([header][key][value]) by its key+value
-  // bytes, then flip one value byte behind the store's back.
-  const std::string key = make_key(0);
-  std::vector<char> needle(key.begin(), key.end());
-  const std::vector<char> value = make_value(0, kSize);
-  needle.insert(needle.end(), value.begin(), value.end());
-  bool corrupted = false;
-  for (ssd::ExtentId id = 1; !corrupted; ++id) {
-    const std::size_t size = storage.device().extent_size(id);
-    ASSERT_GT(size, 0u) << "key 0 not found on the device";
-    std::vector<char> bytes(size);
-    ASSERT_EQ(storage.device().read_raw(id, 0, bytes), StatusCode::kOk);
-    const auto at = std::search(bytes.begin(), bytes.end(), needle.begin(), needle.end());
-    if (at == bytes.end()) continue;
-    const std::size_t offset =
-        static_cast<std::size_t>(at - bytes.begin()) + needle.size() - kSize / 2;
-    const char flipped = static_cast<char>(bytes[offset] ^ 0x01);
-    ASSERT_EQ(storage.device().write_raw(id, offset, {&flipped, 1}), StatusCode::kOk);
-    corrupted = true;
-  }
+  // Flip one byte of key 0's flushed value behind the store's back.
+  const RecordLocation at = locate_record(storage, 0, kSize);
+  ASSERT_NE(at.id, ssd::kInvalidExtent) << "key 0 not found on the device";
+  const std::size_t offset = at.value_offset + kSize / 2;
+  char flipped = 0;
+  ASSERT_EQ(storage.device().read_raw(at.id, offset, {&flipped, 1}), StatusCode::kOk);
+  flipped = static_cast<char>(flipped ^ 0x01);
+  ASSERT_EQ(storage.device().write_raw(at.id, offset, {&flipped, 1}), StatusCode::kOk);
 
   std::vector<char> out;
   std::uint32_t flags = 0;
-  EXPECT_EQ(m.get(key, out, flags), StatusCode::kServerError);
+  EXPECT_EQ(m.get(make_key(0), out, flags), StatusCode::kServerError);
   EXPECT_EQ(m.stats().checksum_failures, 1u);
 }
 
@@ -240,6 +257,45 @@ TEST_F(HybridManagerTest, AdaptivePolicyUsesPageCacheForSmallClasses) {
   for (std::uint64_t i = 0; i < 120; ++i) ASSERT_TRUE(get_matches(m, i, 30 << 10));
   m.sync_storage();
   EXPECT_EQ(storage.cache().dirty_bytes(), 0u);
+}
+
+TEST_F(HybridManagerTest, DirectReadStreamsTheRestOfTheExtent) {
+  // H-RDMA-Def's slab-granular swap-in: under kDirectAll an SSD GET reads its
+  // value and then the rest of its flushed extent, as two device reads. The
+  // adaptive schemes read the value's range only.
+  constexpr std::size_t kSize = 30 << 10;
+  for (const IoPolicy policy : {IoPolicy::kDirectAll, IoPolicy::kAdaptive}) {
+    const bool direct = policy == IoPolicy::kDirectAll;
+    SCOPED_TRACE(direct ? "kDirectAll" : "kAdaptive");
+    ssd::StorageStack storage(SsdProfile::sata(), test_cache());
+    ManagerConfig cfg = base_config(StorageMode::kHybrid);
+    cfg.io_policy = policy;
+    HybridSlabManager m(cfg, &storage);
+    for (std::uint64_t i = 0; i < 120; ++i) ASSERT_EQ(set(m, i, kSize), StatusCode::kOk);
+    m.sync_storage();
+    const RecordLocation at = locate_record(storage, 0, kSize);
+    ASSERT_NE(at.id, ssd::kInvalidExtent) << "key 0 not found on the device";
+    ASSERT_GT(at.extent_bytes, at.value_offset + kSize) << "key 0 ends its extent";
+    // The synced extent is clean: dropping it from the page cache makes the
+    // adaptive GET read the device too.
+    storage.cache().invalidate(at.id);
+
+    const ssd::DeviceStats before = storage.device().stats();
+    ASSERT_TRUE(get_matches(m, 0, kSize));
+    const ssd::DeviceStats after = storage.device().stats();
+    const std::uint64_t reads = after.reads - before.reads;
+    const std::uint64_t read_bytes = after.read_bytes - before.read_bytes;
+    if (direct) {
+      EXPECT_EQ(reads, 2u);
+      // Through the end of the extent, from the value or from the record's
+      // header and key just ahead of it.
+      EXPECT_GE(read_bytes, at.extent_bytes - at.value_offset);
+      EXPECT_LE(read_bytes, at.extent_bytes - at.record_offset);
+    } else {
+      EXPECT_EQ(reads, 1u);
+      EXPECT_EQ(read_bytes, kSize);
+    }
+  }
 }
 
 TEST_F(HybridManagerTest, SsdLimitFallsBackToDropping) {
