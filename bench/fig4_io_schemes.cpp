@@ -14,15 +14,16 @@ using namespace hykv;
 
 namespace {
 
+// The modelled cost each write charges (ssd::IoResult::charged), not the
+// wall clock: host scheduling noise would otherwise flip the small-size
+// winners from run to run.
 double mean_write_us(ssd::StorageStack& stack, ssd::IoScheme scheme,
                      std::size_t size, int iters) {
   const auto payload = workload::dataset_value(size, size);
   sim::Nanos total{0};
   for (int i = 0; i < iters; ++i) {
     const auto id = stack.device().allocate(size).value();
-    const auto t0 = sim::now();
-    (void)stack.write(scheme, id, 0, payload);
-    total += sim::now() - t0;
+    total += stack.write(scheme, id, 0, payload).charged;
   }
   return static_cast<double>(total.count()) / iters / 1e3;
 }
@@ -40,7 +41,7 @@ int main() {
 
   for (const auto& profile : {SsdProfile::sata(), SsdProfile::nvme()}) {
     ssd::StorageStack stack(profile, cache);
-    std::printf("%s   [us per write]\n", profile.name.c_str());
+    std::printf("%s   [modelled us per write]\n", profile.name.c_str());
     std::printf("  %10s %12s %12s %12s %10s\n", "size", "direct", "cached",
                 "mmap", "winner");
     for (const std::size_t size :

@@ -7,6 +7,7 @@
 // throughput; adaptive I/O alone (Opt-Block) gives ~1.3x over Def-Block.
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -30,6 +31,12 @@ int main() {
               "%zu rounds\n\n",
               kClients, rounds);
   std::array<std::vector<double>, kDesigns> kops;
+  // Store counters per run: flush batches, clean-copy evictions (no write)
+  // and items lost to eviction; the SSD cap (4x RAM against 2x data) should
+  // keep the last at 0.
+  std::array<std::vector<double>, kDesigns> flushes;
+  std::array<std::vector<double>, kDesigns> clean;
+  std::array<std::uint64_t, kDesigns> dropped{};
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t i = 0; i < kDesigns; ++i) {
       const std::size_t d = (i + round) % kDesigns;
@@ -46,7 +53,11 @@ int main() {
       // few cores, deep windows turn into scheduler churn, not pipelining.
       s.window = 16;
       s.poll_compute = sim::us(20);
-      kops[d].push_back(run_scenario(s).kops());
+      const Outcome result = run_scenario(s);
+      kops[d].push_back(result.kops());
+      flushes[d].push_back(static_cast<double>(result.store.flushes));
+      clean[d].push_back(static_cast<double>(result.store.clean_evictions));
+      dropped[d] += result.store.dropped_evictions;
     }
   }
   std::array<double, kDesigns> median{};
@@ -59,6 +70,16 @@ int main() {
                 std::string(to_string(core::kHybridDesigns[d])).c_str(),
                 median[d], kops[d].front(), kops[d].back(),
                 median[0] > 0 ? median[d] / median[0] : 0.0);
+  }
+  std::printf("\n  %-18s %14s %22s %18s\n", "design", "median flushes",
+              "median clean_evictions", "dropped_evictions");
+  for (std::size_t d = 0; d < kDesigns; ++d) {
+    std::ranges::sort(flushes[d]);
+    std::ranges::sort(clean[d]);
+    std::printf("  %-18s %14.0f %22.0f %18llu\n",
+                std::string(to_string(core::kHybridDesigns[d])).c_str(),
+                flushes[d][flushes[d].size() / 2], clean[d][clean[d].size() / 2],
+                static_cast<unsigned long long>(dropped[d]));
   }
   // kHybridDesigns: Def, Opt-Block, NonB-b, NonB-i.
   std::printf("\n  NonB-b / NonB-i over Opt-Block (medians): %.2fx / %.2fx\n",

@@ -43,7 +43,7 @@ constexpr std::string_view kStatsRows[] = {
     "flushes", "flushed_bytes", "promotions", "dropped_evictions",
     "ssd_live_bytes", "io_errors", "degraded", "degraded_shards", "shards",
     "slab_pages", "slab_reserved_bytes", "slab_used_chunks", "batches",
-    "batched_ops"};
+    "batched_ops", "clean_evictions"};
 
 constexpr bool names_a_field(std::string_view row) {
   return metrics::has_field<ServerCounters>(row) ||

@@ -1,5 +1,6 @@
 #include "ssd/device.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -8,6 +9,23 @@
 #include "common/sim_time.hpp"
 
 namespace hykv::ssd {
+namespace {
+
+/// Visits the segment pieces of [offset, offset + len) in order:
+/// fn(segment index, offset within it, offset within the range, length).
+template <typename Fn>
+void for_each_piece(std::size_t offset, std::size_t len, Fn&& fn) {
+  std::size_t done = 0;
+  while (done < len) {
+    const std::size_t at = offset + done;
+    const std::size_t within = at % kSegmentBytes;
+    const std::size_t piece = std::min(len - done, kSegmentBytes - within);
+    fn(at / kSegmentBytes, within, done, piece);
+    done += piece;
+  }
+}
+
+}  // namespace
 
 SsdDevice::SsdDevice(SsdProfile profile) : profile_(std::move(profile)) {
   const unsigned channels = profile_.channels == 0 ? 1 : profile_.channels;
@@ -23,7 +41,15 @@ Result<ExtentId> SsdDevice::allocate(std::size_t size) {
     return StatusCode::kOutOfMemory;
   }
   const ExtentId id = next_id_++;
-  extents_.emplace(id, std::vector<char>(size));
+  Extent& extent = extents_[id];
+  extent.size = size;
+  const std::size_t count = (size + kSegmentBytes - 1) / kSegmentBytes;
+  extent.segments.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    extent.segments.push_back(std::make_unique<char[]>(
+        std::min(kSegmentBytes, size - i * kSegmentBytes)));
+  }
+  extent.dead.assign(count, 0);
   used_bytes_ += size;
   return id;
 }
@@ -32,8 +58,25 @@ void SsdDevice::free(ExtentId id) {
   const MutexLock lock(meta_mu_);
   auto it = extents_.find(id);
   if (it == extents_.end()) return;
-  used_bytes_ -= it->second.size();
+  used_bytes_ -= it->second.size;
   extents_.erase(it);
+}
+
+void SsdDevice::discard(ExtentId id, std::size_t offset, std::size_t len) {
+  const MutexLock lock(meta_mu_);
+  auto it = extents_.find(id);
+  if (it == extents_.end() || offset + len > it->second.size) return;
+  Extent& extent = it->second;
+  for_each_piece(offset, len, [&](std::size_t seg, std::size_t, std::size_t,
+                                  std::size_t piece) {
+    extent.dead[seg] += static_cast<std::uint32_t>(piece);
+    const std::size_t seg_bytes =
+        std::min(kSegmentBytes, extent.size - seg * kSegmentBytes);
+    if (extent.dead[seg] >= seg_bytes && extent.segments[seg] != nullptr) {
+      extent.segments[seg].reset();
+      stats_.trimmed_bytes += seg_bytes;
+    }
+  });
 }
 
 void SsdDevice::occupy(sim::Nanos cost) {
@@ -70,8 +113,15 @@ StatusCode SsdDevice::write_raw(ExtentId id, std::size_t offset,
   const MutexLock lock(meta_mu_);
   auto it = extents_.find(id);
   if (it == extents_.end()) return StatusCode::kInvalidArgument;
-  if (offset + data.size() > it->second.size()) return StatusCode::kInvalidArgument;
-  std::memcpy(it->second.data() + offset, data.data(), data.size());
+  Extent& extent = it->second;
+  if (offset + data.size() > extent.size) return StatusCode::kInvalidArgument;
+  for_each_piece(offset, data.size(), [&](std::size_t seg, std::size_t within,
+                                          std::size_t from, std::size_t piece) {
+    // Every record in a discarded segment is dead: nothing reads it again.
+    if (char* bytes = extent.segments[seg].get()) {
+      std::memcpy(bytes + within, data.data() + from, piece);
+    }
+  });
   return StatusCode::kOk;
 }
 
@@ -80,9 +130,18 @@ StatusCode SsdDevice::read_raw(ExtentId id, std::size_t offset,
   const MutexLock lock(meta_mu_);
   auto it = extents_.find(id);
   if (it == extents_.end()) return StatusCode::kInvalidArgument;
-  if (offset + out.size() > it->second.size()) return StatusCode::kInvalidArgument;
-  std::memcpy(out.data(), it->second.data() + offset, out.size());
-  return StatusCode::kOk;
+  Extent& extent = it->second;
+  if (offset + out.size() > extent.size) return StatusCode::kInvalidArgument;
+  bool trimmed = false;
+  for_each_piece(offset, out.size(), [&](std::size_t seg, std::size_t within,
+                                         std::size_t to, std::size_t piece) {
+    if (const char* bytes = extent.segments[seg].get()) {
+      std::memcpy(out.data() + to, bytes + within, piece);
+    } else {
+      trimmed = true;
+    }
+  });
+  return trimmed ? StatusCode::kInvalidArgument : StatusCode::kOk;
 }
 
 bool SsdDevice::inject_error() {
@@ -170,7 +229,7 @@ std::size_t SsdDevice::used_bytes() const {
 std::size_t SsdDevice::extent_size(ExtentId id) const {
   const MutexLock lock(meta_mu_);
   auto it = extents_.find(id);
-  return it == extents_.end() ? 0 : it->second.size();
+  return it == extents_.end() ? 0 : it->second.size;
 }
 
 DeviceStats SsdDevice::stats() const {

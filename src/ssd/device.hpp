@@ -8,6 +8,9 @@
 //
 // The unit of allocation is an *extent* (the hybrid slab manager allocates
 // one extent per flushed slab or item run) addressed by (ExtentId, offset).
+// The simulator keeps an extent's bytes as fixed-size segments so that
+// discard() can hand back the memory of dead records before the whole
+// extent is freed; capacity accounting and modelled costs stay per extent.
 #pragma once
 
 #include <atomic>
@@ -45,7 +48,8 @@ struct SsdFaultProfile {
   X(std::uint64_t, read_bytes)                                          \
   X(std::uint64_t, written_bytes)                                       \
   X(std::uint64_t, busy_ns) /* total modelled channel-occupancy time */ \
-  X(std::uint64_t, io_errors) /* injected/forced access failures */
+  X(std::uint64_t, io_errors) /* injected/forced access failures */     \
+  X(std::uint64_t, trimmed_bytes) /* segment bytes freed by discard() */
 
 struct DeviceStats {
   HYKV_COUNTER_FIELDS(DeviceStats, HYKV_DEVICE_STATS_FIELDS)
@@ -58,6 +62,10 @@ struct IoResult {
   StatusCode status = StatusCode::kOk;
   sim::Nanos charged{0};
 };
+
+/// Granularity at which the simulator stores, and discard() frees, an
+/// extent's bytes. Host memory only: the device model never sees it.
+constexpr std::size_t kSegmentBytes = std::size_t{64} << 10;
 
 class SsdDevice {
  public:
@@ -74,6 +82,13 @@ class SsdDevice {
   /// Releases an extent (TRIM). No modelled latency.
   void free(ExtentId id);
 
+  /// Marks [offset, offset + len) of the extent dead and frees every
+  /// segment whose bytes are all dead. Callers discard each byte at most
+  /// once. A later write into a freed segment stores nothing there; a read
+  /// that touches one fails with kInvalidArgument. Capacity (used_bytes)
+  /// and modelled costs are unchanged: this is simulator memory only.
+  void discard(ExtentId id, std::size_t offset, std::size_t len);
+
   /// Writes `data` at `offset` within the extent, paying full device write
   /// latency for data.size() bytes (direct-I/O semantics).
   IoResult write(ExtentId id, std::size_t offset, std::span<const char> data);
@@ -83,6 +98,7 @@ class SsdDevice {
 
   /// Data movement without modelled latency -- used by the page cache, which
   /// models its own host-side costs and pays device latency at write-back.
+  /// Discarded segments behave as for write()/read() (see discard()).
   StatusCode write_raw(ExtentId id, std::size_t offset, std::span<const char> data);
   StatusCode read_raw(ExtentId id, std::size_t offset, std::span<char> out);
 
@@ -119,9 +135,17 @@ class SsdDevice {
   /// True when this access should fail; bumps the io_errors counter.
   [[nodiscard]] bool inject_error() EXCLUDES(meta_mu_);
 
+  /// An extent's bytes: segment i holds [i * kSegmentBytes, ...), null once
+  /// discarded; dead[i] counts its discarded bytes.
+  struct Extent {
+    std::size_t size = 0;
+    std::vector<std::unique_ptr<char[]>> segments;
+    std::vector<std::uint32_t> dead;
+  };
+
   SsdProfile profile_;
   mutable Mutex meta_mu_;
-  std::unordered_map<ExtentId, std::vector<char>> extents_ GUARDED_BY(meta_mu_);
+  std::unordered_map<ExtentId, Extent> extents_ GUARDED_BY(meta_mu_);
   ExtentId next_id_ GUARDED_BY(meta_mu_) = 1;
   std::size_t used_bytes_ GUARDED_BY(meta_mu_) = 0;
   DeviceStats stats_ GUARDED_BY(meta_mu_);

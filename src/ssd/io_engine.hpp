@@ -53,6 +53,13 @@ class StorageStack {
     return result;
   }
 
+  /// A record at [offset, offset + len) of extent `id` died: the device
+  /// frees what that leaves wholly dead (SsdDevice::discard). The page cache
+  /// still counts the extent resident until it is freed.
+  void discard(ExtentId id, std::size_t offset, std::size_t len) {
+    device_.discard(id, offset, len);
+  }
+
  private:
   SsdDevice device_;
   PageCache cache_;

@@ -16,8 +16,22 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 using metrics::Span;
 
+// The absolute expiry of a relative `expiration` in seconds (0 = never).
+// A negative one that lands on exactly 0 would read as "never"; -1 is just
+// as expired.
+std::int64_t absolute_expiry(std::int64_t expiration) noexcept {
+  if (expiration == 0) return 0;
+  const std::int64_t at = steady_seconds() + expiration;
+  return at == 0 ? -1 : at;
+}
+
 void put_u32(char* dst, std::uint32_t v) { std::memcpy(dst, &v, 4); }
 void put_i64(char* dst, std::int64_t v) { std::memcpy(dst, &v, 8); }
+std::uint32_t get_u32(const char* src) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, src, 4);
+  return v;
+}
 
 }  // namespace
 
@@ -55,6 +69,15 @@ HybridSlabManager::ExtentHandle::~ExtentHandle() {
   if (storage != nullptr && id != ssd::kInvalidExtent) {
     storage->cache().invalidate(id);
     storage->device().free(id);
+  }
+}
+
+HybridSlabManager::SsdRecord::~SsdRecord() {
+  // Runs when the last pin drops, so no reader can still want these bytes.
+  if (extent != nullptr && extent->storage != nullptr &&
+      extent->id != ssd::kInvalidExtent) {
+    extent->storage->discard(extent->id, record_offset,
+                             SsdItemFraming::record_size(key_len, value_len));
   }
 }
 
@@ -134,6 +157,12 @@ void HybridSlabManager::release_record_locked(
   stats_.ssd_live_bytes -= std::min<std::uint64_t>(stats_.ssd_live_bytes, bytes);
 }
 
+void HybridSlabManager::drop_ssd_copy_locked(Entry& entry) {
+  if (entry.ssd == nullptr) return;
+  release_record_locked(entry.ssd);
+  entry.ssd.reset();
+}
+
 void HybridSlabManager::displace_locked(Entry& entry) {
   if (ItemHeader* item = entry.ram.load(std::memory_order_relaxed)) {
     // Unpublish before retiring: a lock-free reader that already loaded the
@@ -141,10 +170,7 @@ void HybridSlabManager::displace_locked(Entry& entry) {
     entry.ram.store(nullptr, std::memory_order_release);
     retire_ram_item(item);
   }
-  if (entry.ssd != nullptr) {
-    release_record_locked(entry.ssd);
-    entry.ssd.reset();
-  }
+  drop_ssd_copy_locked(entry);
 }
 
 void HybridSlabManager::note_io_failure_locked() {
@@ -174,6 +200,10 @@ bool HybridSlabManager::drop_one(unsigned cls) {
   // see the entry empty.
   if (entry != nullptr) entry->ram.store(nullptr, std::memory_order_release);
   retire_ram_item(victim);
+  if (entry != nullptr && entry->ssd != nullptr) {
+    ++stats_.clean_evictions;  // the SSD copy still serves the key
+    return true;
+  }
   index_.erase(key);
   ++stats_.dropped_evictions;
   return true;
@@ -190,23 +220,38 @@ bool HybridSlabManager::do_flush_batch(unsigned cls) {
   if (lru_[cls].empty()) return false;
 
   // 1. Collect LRU-tail victims until the batch is full (<= one slab page).
+  //    A victim whose SSD copy is still current is only unpublished: it
+  //    counts toward the batch, so one flush frees about one page of chunks.
   struct Victim {
     std::string key;
     std::uint32_t record_offset;
   };
   std::vector<char> staging;
-  staging.reserve(config_.slab.slab_bytes);
   std::vector<Victim> victims;
   std::vector<std::shared_ptr<SsdRecord>> records;
+  std::size_t batch_bytes = 0;
+  std::size_t clean = 0;
 
   const ssd::IoScheme scheme = scheme_for_class(cls);
   while (ItemHeader* item = lru_tail_victim(cls)) {
     const std::size_t rec_size =
         SsdItemFraming::record_size(item->key_len, item->value_len);
-    if (!victims.empty() &&
-        staging.size() + rec_size > config_.slab.slab_bytes) {
+    if (batch_bytes != 0 && batch_bytes + rec_size > config_.slab.slab_bytes) {
       break;
     }
+    batch_bytes += rec_size;
+    // Unpublish (release) before the chunk returns to the free list so the
+    // index never holds a dangling item pointer; a lock-free reader mid-copy
+    // keeps the chunk alive via limbo.
+    Entry* entry = index_.find(item->key());
+    assert(entry != nullptr && entry->ram.load(std::memory_order_relaxed) == item);
+    if (entry->ssd != nullptr) {
+      entry->ram.store(nullptr, std::memory_order_release);
+      retire_ram_item(item);
+      ++clean;
+      continue;
+    }
+    if (staging.empty()) staging.reserve(config_.slab.slab_bytes);
     const auto offset = static_cast<std::uint32_t>(staging.size());
     staging.resize(staging.size() + rec_size);
     char* p = staging.data() + offset;
@@ -232,14 +277,11 @@ bool HybridSlabManager::do_flush_batch(unsigned cls) {
     record->scheme = scheme;
     records.push_back(std::move(record));
     victims.push_back(Victim{std::string(item->key()), offset});
-    // Detach the RAM presence before the chunk returns to the free list so
-    // the index never holds a dangling item pointer. Unpublish (release)
-    // first: a lock-free reader mid-copy keeps the chunk alive via limbo.
-    Entry* entry = index_.find(victims.back().key);
-    assert(entry != nullptr && entry->ram.load(std::memory_order_relaxed) == item);
     entry->ram.store(nullptr, std::memory_order_release);
     retire_ram_item(item);
   }
+  stats_.clean_evictions += clean;
+  if (victims.empty()) return true;  // only clean victims: nothing to write
 
   // 2. Reserve the SSD extent; on failure fall back to dropping the victims
   //    (data loss, like the in-memory design -- counted, never silent).
@@ -368,7 +410,7 @@ StatusCode HybridSlabManager::store(std::string_view key,
   const std::size_t total = item_total_size(key.size(), value.size());
   const unsigned cls = slabs_.class_for(total);
   if (cls == kInvalidClass) return StatusCode::kInvalidArgument;
-  std::int64_t expiry = expiration == 0 ? 0 : steady_seconds() + expiration;
+  std::int64_t expiry = absolute_expiry(expiration);
 
   const MutexLock lock(mu_);
   if (config_.modelled_op_cost.count() > 0) {
@@ -392,6 +434,7 @@ StatusCode HybridSlabManager::store(std::string_view key,
   if (hot != nullptr && hot->slab_class == cls && hot->key_len == key.size()) {
     metrics::record_since(config_.latency, Span::kCacheCheckLoad, check_start);
     const sim::TimePoint update_start = metrics::span_start(config_.latency);
+    drop_ssd_copy_locked(*existing);
     // Published item: optimistic readers may be copying it right now, so
     // the in-place mutation runs under the seqlock bracket and every store
     // is a relaxed atomic (tears are detected, never undefined).
@@ -560,8 +603,7 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
   // RAM hit.
   if (ItemHeader* item = entry->ram.load(std::memory_order_relaxed)) {
     if (expired(item->expiry)) {
-      entry->ram.store(nullptr, std::memory_order_release);
-      retire_ram_item(item);
+      displace_locked(*entry);  // the RAM item and any clean SSD copy
       index_.erase(key);
       ++stats_.expired;
       ++stats_.misses;
@@ -627,12 +669,23 @@ StatusCode HybridSlabManager::read_ssd(std::string_view key,
     ++stats_.misses;
     return StatusCode::kIoError;
   }
-  out.resize(record->value_len);
-  const std::size_t value_offset = record->record_offset +
-                                   SsdItemFraming::kHeaderBytes +
-                                   record->key_len;
-  const StatusCode code =
-      storage_->read(record->scheme, record->extent->id, value_offset, out).status;
+  // Read the framed record as written -- header, key, value -- so a read
+  // that lands on the wrong bytes is caught, not only a corrupted value.
+  const std::size_t prefix = SsdItemFraming::kHeaderBytes + record->key_len;
+  out.resize(prefix + record->value_len);
+  const StatusCode code = storage_->read(record->scheme, record->extent->id,
+                                         record->record_offset, out)
+                              .status;
+  bool intact = false;
+  if (ok(code)) {
+    intact = get_u32(out.data()) == record->key_len &&
+             get_u32(out.data() + 4) == record->value_len &&
+             get_u32(out.data() + 12) == record->value_checksum &&
+             std::string_view(out.data() + SsdItemFraming::kHeaderBytes,
+                              record->key_len) == key;
+    out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(prefix));
+    intact = intact && record_checksum(out) == record->value_checksum;
+  }
   flags = record->flags;
   // The pinned record's CAS is that of the bytes just read, even if a writer
   // replaced the key while the lock was dropped.
@@ -651,7 +704,7 @@ StatusCode HybridSlabManager::read_ssd(std::string_view key,
     return StatusCode::kServerError;
   }
   consecutive_io_errors_ = 0;  // a served read breaks the failure streak
-  if (record_checksum(out) != record->value_checksum) {
+  if (!intact) {
     ++stats_.checksum_failures;
     ++stats_.misses;
     return StatusCode::kServerError;
@@ -686,14 +739,17 @@ StatusCode HybridSlabManager::read_ssd(std::string_view key,
     }
     if (chunk != nullptr) {
       // Re-validate: the lock may have been dropped during a flush and the
-      // key overwritten/deleted meanwhile.
+      // key overwritten/deleted meanwhile, or another GET of this record
+      // promoted it already.
       Entry* current = index_.find(key);
-      if (current != nullptr && current->ssd == record) {
+      if (current != nullptr && current->ssd == record &&
+          current->ram.load(std::memory_order_relaxed) == nullptr) {
         ItemHeader* item =
             format_item(chunk, key, out, record->flags, record->expiry, cls);
         item->cas = record->cas;  // promotion is relocation, not mutation
-        release_record_locked(current->ssd);
-        current->ssd.reset();
+        // An opportunistic promotion keeps the record as the item's clean
+        // copy; H-RDMA-Def's swap-in releases it.
+        if (config_.force_promote) drop_ssd_copy_locked(*current);
         current->ram.store(item, std::memory_order_release);
         lru_[cls].push_front(item);
         ++stats_.promotions;
@@ -768,9 +824,9 @@ StatusCode HybridSlabManager::touch(std::string_view key,
   const MutexLock lock(mu_);
   Entry* entry = index_.find(key);
   if (current_cas_locked(entry) == 0) return StatusCode::kNotFound;
-  const std::int64_t expiry =
-      expiration == 0 ? 0 : steady_seconds() + expiration;
+  const std::int64_t expiry = absolute_expiry(expiration);
   if (ItemHeader* item = entry->ram.load(std::memory_order_relaxed)) {
+    drop_ssd_copy_locked(*entry);
     // Single aligned field: a bare relaxed-atomic store suffices (a
     // concurrent optimistic read of the old expiry linearises before).
     seq_store(item->expiry, expiry);

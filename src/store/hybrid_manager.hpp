@@ -8,7 +8,9 @@
 //   kHybrid   -- when RAM is exhausted, a batch of LRU items (up to one slab,
 //                1 MB) is serialised and flushed to the SSD; items remain
 //                retrievable from flash. No data is lost until SSD capacity
-//                is exhausted.
+//                is exhausted. An item promoted back to RAM opportunistically
+//                keeps its SSD record as a clean copy until it is mutated,
+//                so evicting it unchanged writes nothing.
 //
 // I/O policy (hybrid only):
 //   kDirectAll -- every flush uses direct I/O on the full batch, the
@@ -118,6 +120,7 @@ struct ManagerConfig {
   X(std::uint64_t, flushed_items)                                             \
   X(std::uint64_t, flushed_bytes)                                             \
   X(std::uint64_t, promotions) /* SSD items promoted back to RAM */           \
+  X(std::uint64_t, clean_evictions) /* evicted with their SSD copy current */ \
   X(std::uint64_t, dropped_evictions) /* items lost (LRU / SSD full) */       \
   X(std::uint64_t, ssd_live_bytes) /* live (referenced) bytes on SSD */       \
   X(std::uint64_t, checksum_failures)                                         \
@@ -269,7 +272,15 @@ class HybridSlabManager {
     ~ExtentHandle();
   };
 
+  /// One flushed item on the SSD. Its framed bytes stay on the device while
+  /// anything pins the record: the index entry, a deferred GET, or a clone
+  /// of the entry in a retired hash table. The destructor discards them.
   struct SsdRecord {
+    SsdRecord() = default;
+    SsdRecord(const SsdRecord&) = delete;  // one discard per framed record
+    SsdRecord& operator=(const SsdRecord&) = delete;
+    ~SsdRecord();
+
     std::shared_ptr<ExtentHandle> extent;
     std::uint32_t record_offset = 0;  ///< Offset of the framed record.
     std::uint32_t key_len = 0;
@@ -286,6 +297,10 @@ class HybridSlabManager {
   /// formatted item bytes visible, and nulling it (flush/evict/delete)
   /// precedes retirement through the epoch limbo. `ssd` is writer-only --
   /// the optimistic path never touches it (SSD hits always fall back).
+  /// With both set, `ssd` is a clean copy of `ram` left by an opportunistic
+  /// promotion: the same bytes, flags, expiry and CAS. Every mutation of the
+  /// RAM item releases the copy first, and evicting the item while the copy
+  /// is held re-points the entry at it instead of writing the item again.
   /// Copyable because HashMap clones entries on growth; copies snapshot the
   /// ram pointer (relaxed is enough: the publishing table store orders it).
   struct Entry {
@@ -323,14 +338,17 @@ class HybridSlabManager {
   char* allocate_with_reclaim(unsigned cls) REQUIRES(mu_);
 
   /// Flushes up to one slab page of LRU-tail items of `cls` to the SSD.
-  /// Returns false if the class had nothing to flush. Lock juggling as above.
+  /// Victims that still hold a clean SSD copy are evicted to it with no
+  /// write; a batch of only those allocates no extent. Returns false if the
+  /// class had nothing to flush. Lock juggling as above.
   /// flush_batch is the recording wrapper (Span::kSsdFlush); do_flush_batch
   /// does the work.
   bool flush_batch(unsigned cls) REQUIRES(mu_);
   bool do_flush_batch(unsigned cls) REQUIRES(mu_);
 
-  /// Drops the LRU-tail item of `cls` (or of the fullest other class when
-  /// empty). Returns false when nothing anywhere is evictable.
+  /// Drops the LRU-tail item of `cls`; one with a clean SSD copy becomes
+  /// SSD-resident instead of being lost. Returns false when the class has
+  /// nothing to evict.
   bool drop_one(unsigned cls) REQUIRES(mu_);
 
   void unlink_ram_item(ItemHeader* item) REQUIRES(mu_);
@@ -379,6 +397,9 @@ class HybridSlabManager {
   [[nodiscard]] bool expired(std::int64_t expiry) const noexcept;
   void release_record_locked(const std::shared_ptr<SsdRecord>& record)
       REQUIRES(mu_);
+  /// Releases the entry's SSD record, if any (the RAM item is about to
+  /// change, so a clean copy would go stale).
+  void drop_ssd_copy_locked(Entry& entry) REQUIRES(mu_);
 
   /// Accounts one failed SSD access; enters degraded mode at the configured
   /// streak and (re)arms the heal-probe timer.

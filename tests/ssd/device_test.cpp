@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -141,6 +142,49 @@ TEST_F(SsdDeviceTest, MultiChannelAllowsOverlap) {
   // Four ~545us accesses across four channels overlap: well under the
   // ~2.2ms serial total even with thread-spawn overhead.
   EXPECT_LT(sim::now() - start, sim::us(1500));
+}
+
+TEST_F(SsdDeviceTest, DiscardFreesOnlyWhollyDeadSegments) {
+  SsdDevice dev(tiny_profile());
+  constexpr std::size_t kSeg = kSegmentBytes;
+  const std::size_t size = 2 * kSeg + 1000;  // two full segments and a tail
+  const auto id = dev.allocate(size).value();
+  const auto payload = make_value(5, size);
+  ASSERT_EQ(dev.write(id, 0, payload).status, StatusCode::kOk);
+  const std::vector<char> live_tail(payload.begin() + kSeg + 100, payload.end());
+
+  // Half of segment 0 dies: nothing is freed, the rest reads back.
+  dev.discard(id, 0, kSeg / 2);
+  EXPECT_EQ(dev.stats().trimmed_bytes, 0u);
+  std::vector<char> out(kSeg / 2);
+  ASSERT_EQ(dev.read(id, kSeg / 2, out).status, StatusCode::kOk);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), payload.begin() + kSeg / 2));
+
+  // A record across the boundary dies: segment 0 is wholly dead and freed,
+  // segment 1 keeps its live bytes.
+  dev.discard(id, kSeg / 2, kSeg / 2 + 100);
+  EXPECT_EQ(dev.stats().trimmed_bytes, kSeg);
+  std::vector<char> head(10);
+  EXPECT_EQ(dev.read(id, 0, head).status, StatusCode::kInvalidArgument);
+  EXPECT_EQ(dev.read_raw(id, kSeg - 5, head), StatusCode::kInvalidArgument);
+  std::vector<char> tail(live_tail.size());
+  ASSERT_EQ(dev.read(id, kSeg + 100, tail).status, StatusCode::kOk);
+  EXPECT_EQ(tail, live_tail);
+
+  // A write into the freed segment stores nothing there and fails nothing;
+  // the live neighbour it spans is written.
+  const auto rewrite = make_value(6, kSeg + 200);
+  ASSERT_EQ(dev.write(id, 0, rewrite).status, StatusCode::kOk);
+  EXPECT_EQ(dev.read(id, 0, head).status, StatusCode::kInvalidArgument);
+  std::vector<char> written(100);
+  ASSERT_EQ(dev.read(id, kSeg + 100, written).status, StatusCode::kOk);
+  EXPECT_TRUE(std::equal(written.begin(), written.end(), rewrite.begin() + kSeg + 100));
+
+  // Capacity is the extent's until it is freed.
+  EXPECT_EQ(dev.used_bytes(), size);
+  EXPECT_EQ(dev.extent_size(id), size);
+  dev.free(id);
+  EXPECT_EQ(dev.used_bytes(), 0u);
 }
 
 TEST_F(SsdDeviceTest, BusyTimeTracked) {

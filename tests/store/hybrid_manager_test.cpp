@@ -30,7 +30,7 @@ ManagerConfig base_config(StorageMode mode) {
   return cfg;
 }
 
-/// Where key `i`'s flushed record ([header][key][value]) sits on the device;
+/// Where a key's flushed record ([header][key][value]) sits on the device;
 /// `id` is kInvalidExtent when no extent holds it.
 struct RecordLocation {
   ssd::ExtentId id = ssd::kInvalidExtent;
@@ -39,12 +39,10 @@ struct RecordLocation {
   std::size_t extent_bytes = 0;
 };
 
-/// Finds key `i`'s record by its key+value bytes, behind the store's back.
-RecordLocation locate_record(ssd::StorageStack& storage, std::uint64_t i,
-                             std::size_t size) {
-  const std::string key = make_key(i);
+/// Finds a key's record by its key+value bytes, behind the store's back.
+RecordLocation locate_record(ssd::StorageStack& storage, const std::string& key,
+                             const std::vector<char>& value) {
   std::vector<char> needle(key.begin(), key.end());
-  const std::vector<char> value = make_value(i, size);
   needle.insert(needle.end(), value.begin(), value.end());
   for (ssd::ExtentId id = 1;; ++id) {
     const std::size_t bytes = storage.device().extent_size(id);
@@ -186,7 +184,7 @@ TEST_F(HybridManagerTest, CorruptedSsdRecordFailsChecksum) {
   m.sync_storage();
 
   // Flip one byte of key 0's flushed value behind the store's back.
-  const RecordLocation at = locate_record(storage, 0, kSize);
+  const RecordLocation at = locate_record(storage, make_key(0), make_value(0, kSize));
   ASSERT_NE(at.id, ssd::kInvalidExtent) << "key 0 not found on the device";
   const std::size_t offset = at.value_offset + kSize / 2;
   char flipped = 0;
@@ -197,6 +195,38 @@ TEST_F(HybridManagerTest, CorruptedSsdRecordFailsChecksum) {
   std::vector<char> out;
   std::uint32_t flags = 0;
   EXPECT_EQ(m.get(make_key(0), out, flags), StatusCode::kServerError);
+  EXPECT_EQ(m.stats().checksum_failures, 1u);
+}
+
+TEST_F(HybridManagerTest, MisdirectedSsdReadFailsVerification) {
+  // Two keys with the same value and flags: their values hash alike, so only
+  // the record's key tells a read of one from a read of the other.
+  ssd::StorageStack storage(SsdProfile::sata(), test_cache());
+  HybridSlabManager m(base_config(StorageMode::kHybrid), &storage);
+  constexpr std::size_t kSize = 30 << 10;
+  const std::vector<char> shared = make_value(4242, kSize);
+  ASSERT_EQ(m.store(make_key(0), shared, 7, 0), StatusCode::kOk);
+  ASSERT_EQ(m.store(make_key(1), shared, 7, 0), StatusCode::kOk);
+  for (std::uint64_t i = 2; i < 120; ++i) ASSERT_EQ(set(m, i, kSize), StatusCode::kOk);
+  m.sync_storage();
+
+  // Point key 0's record at key 1's: copy key 1's framed record over it.
+  const RecordLocation to = locate_record(storage, make_key(0), shared);
+  const RecordLocation from = locate_record(storage, make_key(1), shared);
+  ASSERT_NE(to.id, ssd::kInvalidExtent);
+  ASSERT_NE(from.id, ssd::kInvalidExtent);
+  std::vector<char> record(SsdItemFraming::record_size(make_key(1).size(), kSize));
+  ASSERT_EQ(storage.device().read_raw(from.id, from.record_offset, record),
+            StatusCode::kOk);
+  ASSERT_EQ(storage.device().write_raw(to.id, to.record_offset, record),
+            StatusCode::kOk);
+
+  std::vector<char> out;
+  std::uint32_t flags = 0;
+  EXPECT_EQ(m.get(make_key(0), out, flags), StatusCode::kServerError);
+  EXPECT_EQ(m.stats().checksum_failures, 1u);
+  ASSERT_EQ(m.get(make_key(1), out, flags), StatusCode::kOk);
+  EXPECT_EQ(out, shared);
   EXPECT_EQ(m.stats().checksum_failures, 1u);
 }
 
@@ -261,8 +291,8 @@ TEST_F(HybridManagerTest, AdaptivePolicyUsesPageCacheForSmallClasses) {
 
 TEST_F(HybridManagerTest, DirectReadStreamsTheRestOfTheExtent) {
   // H-RDMA-Def's slab-granular swap-in: under kDirectAll an SSD GET reads its
-  // value and then the rest of its flushed extent, as two device reads. The
-  // adaptive schemes read the value's range only.
+  // record and then the rest of its flushed extent, as two device reads. The
+  // adaptive schemes read the record's range only: header, key and value.
   constexpr std::size_t kSize = 30 << 10;
   for (const IoPolicy policy : {IoPolicy::kDirectAll, IoPolicy::kAdaptive}) {
     const bool direct = policy == IoPolicy::kDirectAll;
@@ -273,7 +303,7 @@ TEST_F(HybridManagerTest, DirectReadStreamsTheRestOfTheExtent) {
     HybridSlabManager m(cfg, &storage);
     for (std::uint64_t i = 0; i < 120; ++i) ASSERT_EQ(set(m, i, kSize), StatusCode::kOk);
     m.sync_storage();
-    const RecordLocation at = locate_record(storage, 0, kSize);
+    const RecordLocation at = locate_record(storage, make_key(0), make_value(0, kSize));
     ASSERT_NE(at.id, ssd::kInvalidExtent) << "key 0 not found on the device";
     ASSERT_GT(at.extent_bytes, at.value_offset + kSize) << "key 0 ends its extent";
     // The synced extent is clean: dropping it from the page cache makes the
@@ -287,13 +317,11 @@ TEST_F(HybridManagerTest, DirectReadStreamsTheRestOfTheExtent) {
     const std::uint64_t read_bytes = after.read_bytes - before.read_bytes;
     if (direct) {
       EXPECT_EQ(reads, 2u);
-      // Through the end of the extent, from the value or from the record's
-      // header and key just ahead of it.
-      EXPECT_GE(read_bytes, at.extent_bytes - at.value_offset);
-      EXPECT_LE(read_bytes, at.extent_bytes - at.record_offset);
+      // From the record's header through the end of the extent.
+      EXPECT_EQ(read_bytes, at.extent_bytes - at.record_offset);
     } else {
       EXPECT_EQ(reads, 1u);
-      EXPECT_EQ(read_bytes, kSize);
+      EXPECT_EQ(read_bytes, at.value_offset - at.record_offset + kSize);
     }
   }
 }
@@ -366,50 +394,82 @@ TEST_F(HybridManagerTest, StageSpansAttributeFlushToSlabAllocation) {
 
 TEST_F(HybridManagerTest, RandomOpsMatchModelHybrid) {
   // Property test: with ample SSD, the hybrid tier is lossless -- any random
-  // op sequence must match a std::unordered_map model exactly.
-  ssd::StorageStack storage(SsdProfile::sata(), test_cache());
-  HybridSlabManager m(base_config(StorageMode::kHybrid), &storage);
-  std::unordered_map<std::string, std::uint64_t> model;  // key -> value seed
-  Rng rng(77);
-  for (int op = 0; op < 4000; ++op) {
-    const std::uint64_t id = rng.next_below(200);
-    const std::string key = make_key(id);
-    // Sizes confined to one slab class: the hybrid tier is lossless only
-    // while its class can keep flushing (multi-class calcification is
-    // covered by MultiClassCalcificationFailsGracefully).
-    const std::size_t size = 23000 + rng.next_below(5000);
-    switch (rng.next_below(4)) {
-      case 0:
-      case 1: {  // set (50%)
-        const std::uint64_t seed = rng.next();
-        ASSERT_EQ(m.store(key, make_value(seed, size), 0, 0), StatusCode::kOk);
-        model[key] = seed;
-        model[key + "#s"] = size;  // remember size under a shadow key
-        break;
-      }
-      case 2: {  // del
-        const StatusCode code = m.del(key);
-        EXPECT_EQ(ok(code), model.erase(key) > 0);
-        model.erase(key + "#s");
-        break;
-      }
-      default: {  // get
-        std::vector<char> out;
-        std::uint32_t flags;
-        const StatusCode code = m.get(key, out, flags);
-        const auto it = model.find(key);
-        ASSERT_EQ(ok(code), it != model.end()) << key;
-        if (it != model.end()) {
-          const std::size_t expect_size =
-              static_cast<std::size_t>(model.at(key + "#s"));
-          ASSERT_EQ(out, make_value(it->second, expect_size));
+  // op sequence must match a model exactly. GETs of SSD-resident keys
+  // promote them (keeping a clean SSD copy unless swap-in releases it), and
+  // in-place overwrites and touches must drop that copy before it goes stale.
+  for (const bool force_promote : {false, true}) {
+    SCOPED_TRACE(force_promote ? "force_promote" : "opportunistic");
+    ssd::StorageStack storage(SsdProfile::sata(), test_cache());
+    ManagerConfig cfg = base_config(StorageMode::kHybrid);
+    cfg.force_promote = force_promote;
+    HybridSlabManager m(cfg, &storage);
+    struct Expect {
+      std::uint64_t seed = 0;
+      std::size_t size = 0;
+      std::uint32_t flags = 0;
+      bool expired = false;  ///< touched with -1: gone on its next lookup
+    };
+    std::unordered_map<std::string, Expect> model;
+    Rng rng(77);
+    for (int op = 0; op < 6000; ++op) {
+      const std::uint64_t id = rng.next_below(200);
+      const std::string key = make_key(id);
+      // Sizes confined to one slab class: the hybrid tier is lossless only
+      // while its class can keep flushing (multi-class calcification is
+      // covered by MultiClassCalcificationFailsGracefully). Every overwrite
+      // of a RAM-resident key is therefore in place.
+      const std::size_t size = 23000 + rng.next_below(5000);
+      const auto it = model.find(key);
+      const bool live = it != model.end() && !it->second.expired;
+      switch (rng.next_below(8)) {
+        case 0:
+        case 1:
+        case 2: {  // set
+          const std::uint64_t seed = rng.next();
+          const auto flags = static_cast<std::uint32_t>(seed);
+          ASSERT_EQ(m.store(key, make_value(seed, size), flags, 0), StatusCode::kOk);
+          model[key] = Expect{seed, size, flags, false};
+          break;
         }
-        break;
+        case 3: {  // del
+          const StatusCode code = m.del(key);
+          // A touched-expired key is still indexed until a lookup reaps it.
+          EXPECT_EQ(ok(code), it != model.end());
+          model.erase(key);
+          break;
+        }
+        case 4: {  // touch: keep it, or expire it at once
+          const bool expire = rng.next_below(4) == 0;
+          const StatusCode code = m.touch(key, expire ? -1 : 3600);
+          ASSERT_EQ(ok(code), live) << key;
+          if (live && expire) it->second.expired = true;
+          break;
+        }
+        default: {  // get, which promotes SSD-resident keys
+          std::vector<char> out;
+          std::uint32_t flags = 0;
+          const StatusCode code = m.get(key, out, flags);
+          ASSERT_EQ(ok(code), live) << key;
+          if (live) {
+            ASSERT_EQ(out, make_value(it->second.seed, it->second.size)) << key;
+            ASSERT_EQ(flags, it->second.flags) << key;
+          } else if (it != model.end()) {
+            model.erase(it);  // the lookup reaped the expired key
+          }
+          break;
+        }
       }
     }
+    const ManagerStats stats = m.stats();
+    EXPECT_GT(stats.promotions, 0u);
+    EXPECT_EQ(stats.checksum_failures, 0u);
+    EXPECT_EQ(stats.dropped_evictions, 0u);
+    if (force_promote) {
+      EXPECT_EQ(stats.clean_evictions, 0u);
+    } else {
+      EXPECT_GT(stats.clean_evictions, 0u);
+    }
   }
-  EXPECT_EQ(m.stats().checksum_failures, 0u);
-  EXPECT_EQ(m.stats().dropped_evictions, 0u);
 }
 
 TEST_F(HybridManagerTest, MultiClassCalcificationFailsGracefully) {

@@ -163,6 +163,22 @@ TEST_F(ManagerOpsTest, TouchRefreshesExpiry) {
   EXPECT_EQ(m.touch("k", 100), StatusCode::kNotFound);
 }
 
+TEST_F(ManagerOpsTest, NegativeExpirationLandingOnZeroStillExpires) {
+  // Expiry 0 means "never". A negative expiration that cancels the clock's
+  // seconds exactly (now + expiration == 0) must still expire the item.
+  while (steady_seconds() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  HybridSlabManager m(config(StorageMode::kInMemory), nullptr);
+  std::vector<char> out;
+  std::uint32_t flags = 0;
+  ASSERT_EQ(m.store("set", bytes("v"), 0, -steady_seconds()), StatusCode::kOk);
+  EXPECT_EQ(m.get("set", out, flags), StatusCode::kNotFound);
+  ASSERT_EQ(m.store("touched", bytes("v"), 0, 0), StatusCode::kOk);
+  ASSERT_EQ(m.touch("touched", -steady_seconds()), StatusCode::kOk);
+  EXPECT_EQ(m.get("touched", out, flags), StatusCode::kNotFound);
+}
+
 TEST_F(ManagerOpsTest, TouchWorksOnSsdResidentItem) {
   ssd::StorageStack storage(SsdProfile::sata(), test_cache());
   ManagerConfig cfg = config(StorageMode::kHybrid);
